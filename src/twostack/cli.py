@@ -18,6 +18,7 @@ from .permutations import (
     contains_pattern,
     descent_count,
     format_permutation,
+    identity,
     is_t_stack_sortable,
     parse_permutation,
     reduce_type1,
@@ -46,7 +47,10 @@ def _cmd_sort(args) -> int:
     if args.passes < 0:
         raise ValueError("--passes must be >= 0")
     perm = parse_permutation(args.perm)
+    ident = identity(len(perm))
     for _ in range(args.passes):
+        if perm == ident:  # a fixed point: further passes change nothing
+            break
         perm = stack_sort(perm)
     out = format_permutation(perm)
     _emit(args, "sort", {"perm": args.perm, "passes": args.passes}, out, [out])

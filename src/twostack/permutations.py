@@ -69,10 +69,6 @@ def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def is_identity(perm: Sequence[int]) -> bool:
-    return all(x == i for i, x in enumerate(perm, start=1))
-
-
 def stack_sort(perm: Sequence[int]) -> tuple[int, ...]:
     """
     One pass of stack sorting.
@@ -116,11 +112,12 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
     if t < 0:
         raise ValueError("number of passes must be >= 0")
     cur = tuple(perm)
+    ident = identity(len(cur))
     for _ in range(t):
-        if is_identity(cur):
+        if cur == ident:
             return True
         cur = stack_sort(cur)
-    return is_identity(cur)
+    return cur == ident
 
 
 def sorting_passes(perm: Sequence[int]) -> int:
@@ -134,8 +131,9 @@ def sorting_passes(perm: Sequence[int]) -> int:
     0
     """
     cur = tuple(perm)
+    ident = identity(len(cur))
     passes = 0
-    while not is_identity(cur):
+    while cur != ident:
         cur = stack_sort(cur)
         passes += 1
     return passes

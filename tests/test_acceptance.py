@@ -1,121 +1,84 @@
 """
-Acceptance gate: every counting and bijection claim at its full documented
-bound, all with exact integer comparisons.  One PASS line is printed per
+Acceptance gate: every verify suite at its full documented bound, all with
+exact integer comparisons.  The suites in ``twostack.verify`` are the one
+implementation of each claim; this gate runs them and pins each bound and
+each check count to a literal, so neither editing ``SUITE_DEFAULTS`` nor
+trimming a suite can weaken the gate quietly.  One PASS line is printed per
 criterion (run with -s to see them).
 """
 
-from itertools import permutations
-
-from twostack.counting import (
-    catalan,
-    joint_distribution_perms,
-    joint_distribution_trees,
-    planar_map_count,
-    w_formula,
-    w_total,
-)
-from twostack.permutations import (
-    MarkedPermutation,
-    contains_pattern,
-    descent_count,
-    identity,
-    is_t_stack_sortable,
-    perm_type,
-    reduce_type1,
-    restore_type1,
-    rl_maxima,
-    stack_sort,
-)
-from twostack.trees import count_trees, enumerate_trees
+from twostack.permutations import is_t_stack_sortable
+from twostack.verify import SUITE_NAMES, run_suite
 
 EXPECTED_TOTALS = [1, 2, 6, 22, 91, 408, 1938, 9614, 49335]  # n = 1..9
+
+#: suite -> (documented bound, number of checks at that bound)
+GATE = {
+    "catalan": (9, 27),
+    "formula-vs-brute": (9, 45),
+    "tree-vs-perm": (8, 57),
+    "joint-rl": (7, 7),
+    "symmetry": (200, 208),
+    "unimodality": (200, 300),
+    "map-substitution": (50, 1276),
+    "lemma1": (8, 49),
+    "total": (9, 9),
+}
+
+
+def gate(name):
+    """Run one suite at its default bound and hold it to the pinned literals."""
+    bound, checks = GATE[name]
+    report = run_suite(name)
+    assert report.max_n == bound
+    assert len(report.checks) == checks
+    assert report.passed, [c.label for c in report.failures]
+    return report
 
 
 def ok(name):
     print(f"criterion {name}: PASS")
 
 
-def test_criterion1_totals_match_closed_form(brute_rows):
-    for n in range(1, 10):
-        assert w_total(n) == EXPECTED_TOTALS[n - 1]
-        assert brute_rows[n].total() == EXPECTED_TOTALS[n - 1]
+def test_gate_covers_every_suite():
+    assert sorted(GATE) == sorted(SUITE_NAMES)
+
+
+def test_criterion1_totals_match_closed_form():
+    report = gate("total")
+    assert [c.expected for c in report.checks] == EXPECTED_TOTALS
+    assert [c.actual for c in report.checks] == EXPECTED_TOTALS
     ok("1 (totals, brute force vs closed form, n <= 9)")
 
 
-def test_criterion2_refined_counts_match_formula(brute_rows):
-    for n in range(1, 10):
-        for k in range(1, n + 1):
-            assert brute_rows[n].row.get(k, 0) == w_formula(n, k)
+def test_criterion2_refined_counts_match_formula():
+    gate("formula-vs-brute")
     ok("2 (refined counts, brute force vs formula, n <= 9)")
 
 
 def test_criterion3_tree_counts_match_formula():
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            assert count_trees(n, k) == w_formula(n, k)
-    # the memoized recursion agrees with exhaustive enumeration
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            assert count_trees(n, k) == sum(1 for _ in enumerate_trees(n + 1, k))
+    gate("tree-vs-perm")
     ok("3 (tree counts vs formula n <= 8, recursion vs enumeration n <= 6)")
 
 
 def test_criterion4_joint_statistic_distributions_match():
-    for n in range(1, 8):
-        assert joint_distribution_perms(n) == joint_distribution_trees(n)
+    gate("joint-rl")
     ok("4 (joint (runs, rl) vs (leaves, root label), n <= 7)")
 
 
-def test_criterion5_symmetry_and_unimodality(brute_rows):
-    for n in range(1, 201):
-        for k in range(1, n + 1):
-            assert w_formula(n, k) == w_formula(n, n + 1 - k)
-        for k in range(2, n + 1):
-            assert (w_formula(n, k) > w_formula(n, k - 1)) == (2 * k <= n + 1)
-        if n % 2 == 0:
-            assert w_formula(n, n // 2) == w_formula(n, n // 2 + 1)
-    for n in range(1, 9):
-        row = brute_rows[n].row
-        for k in range(1, n + 1):
-            assert row.get(k, 0) == row.get(n + 1 - k, 0)
+def test_criterion5_symmetry_and_unimodality():
+    gate("symmetry")
+    gate("unimodality")
     ok("5 (symmetry and unimodality n <= 200, brute symmetry n <= 8)")
 
 
-def test_criterion6_marked_bijection(brute_rows):
-    for n in range(2, 9):
-        sortable_type1 = []
-        for p in permutations(range(1, n + 1)):
-            if perm_type(p) != 1:
-                continue
-            marked = reduce_type1(p)
-            assert restore_type1(marked) == p
-            assert descent_count(marked.perm) == descent_count(p)
-            assert len(rl_maxima(marked.perm)) >= len(rl_maxima(p))
-            if is_t_stack_sortable(p, 2):
-                sortable_type1.append(p)
-        image = {reduce_type1(p) for p in sortable_type1}
-        assert len(image) == len(sortable_type1)
-        target = set()
-        for q in permutations(range(1, n)):
-            marks = range(1, len(rl_maxima(q)) + 1)
-            if is_t_stack_sortable(q, 2):
-                target.update(MarkedPermutation(q, r) for r in marks)
-            for r in marks:
-                mp = MarkedPermutation(q, r)
-                assert reduce_type1(restore_type1(mp)) == mp
-        assert image == target
+def test_criterion6_marked_bijection():
+    gate("lemma1")
     ok("6 (marked bijection: round trips, statistics, image, n <= 8)")
 
 
 def test_criterion7_one_pass_sortable_iff_231_avoiding():
-    for n in range(1, 10):
-        ident = identity(n)
-        sortable_count = 0
-        for p in permutations(range(1, n + 1)):
-            sortable = stack_sort(p) == ident
-            assert sortable == (not contains_pattern(p, (2, 3, 1)))
-            sortable_count += sortable
-        assert sortable_count == catalan(n)
+    gate("catalan")
     ok("7 (1-stack sortable <=> 231-avoiding, Catalan counts, n <= 9)")
 
 
@@ -130,9 +93,5 @@ def test_criterion7_witness_3241_not_two_pass_sortable():
 
 
 def test_criterion8_map_formula_substitution():
-    for n in range(1, 51):
-        for k in range(1, n + 1):
-            assert w_formula(n, k) == planar_map_count(k, n + 1 - k)
-    # the shifted reading f=k-1, pv=n-k is the wrong one
-    assert planar_map_count(1, 1) != w_formula(3, 2)
+    gate("map-substitution")
     ok("8 (map-count substitution f=k, pv=n+1-k, n <= 50)")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twostack.cli import main
+from twostack.permutations import stack_sort
 
 
 def run(capsys, *argv):
@@ -21,6 +22,19 @@ def test_sort_passes(capsys):
     code, out, _ = run(capsys, "sort", "3 5 2 4 1", "--passes", "2")
     assert code == 0
     assert out == "1 2 3 4 5\n"
+
+
+def test_sort_passes_stop_at_the_identity(capsys, monkeypatch):
+    calls = []
+
+    def counting_sort(perm):
+        calls.append(perm)
+        return stack_sort(perm)
+
+    monkeypatch.setattr("twostack.cli.stack_sort", counting_sort)
+    code, out, _ = run(capsys, "sort", "2 1", "--passes", "1000000000")
+    assert (code, out) == (0, "1 2\n")
+    assert len(calls) <= 2
 
 
 def test_sortable_witness_yes(capsys):
@@ -116,6 +130,14 @@ def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--format", "csv")
     assert code == 0
     assert out == "n,k,count\n3,1,1\n3,2,4\n3,3,1\n"
+
+
+def test_table_rejects_nonpositive_n(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "table", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_table_json_counts_are_strings(capsys):

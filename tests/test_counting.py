@@ -1,5 +1,7 @@
 import json
+from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -14,7 +16,13 @@ from twostack.counting import (
     w_table,
     w_total,
 )
-from twostack.permutations import identity, stack_sort
+from twostack.permutations import (
+    descent_count,
+    identity,
+    is_t_stack_sortable,
+    rl_maxima,
+    stack_sort,
+)
 
 TOTALS = [1, 2, 6, 22, 91, 408, 1938, 9614, 49335]  # n = 1..9
 
@@ -30,6 +38,46 @@ def test_w_formula_frozen():
     for n in (1, 2, 5, 17, 100):
         assert w_formula(n, 1) == 1
         assert w_formula(n, n) == 1
+
+
+def _quotient(num, den):
+    quot, rem = divmod(num, den)
+    assert rem == 0
+    return quot
+
+
+def _w_oracle(n, k):
+    num = factorial(n + k - 1) * factorial(2 * n - k)
+    den = (
+        factorial(k) * factorial(n + 1 - k)
+        * factorial(2 * k - 1) * factorial(2 * n - 2 * k + 1)
+    )
+    return _quotient(num, den)
+
+
+def _total_oracle(n):
+    return _quotient(2 * factorial(3 * n), factorial(n + 1) * factorial(2 * n + 1))
+
+
+def test_closed_forms_match_factorial_quotients():
+    # oracle: the factorial quotients from the docstrings
+    for n in range(1, 60):
+        assert w_total(n) == _total_oracle(n)
+        assert catalan(n) == _quotient(factorial(2 * n), factorial(n + 1) * factorial(n))
+        for k in range(1, n + 1):
+            assert w_formula(n, k) == _w_oracle(n, k)
+    for f in range(1, 40):
+        for pv in range(1, 40):
+            num = factorial(2 * f + pv - 2) * factorial(2 * pv + f - 2)
+            den = factorial(f) * factorial(pv) * factorial(2 * f - 1) * factorial(2 * pv - 1)
+            assert planar_map_count(f, pv) == _quotient(num, den)
+
+
+def test_closed_forms_match_factorial_quotients_at_cli_sizes():
+    for n in (1000, 2000, 3000, 4000):
+        assert w_total(n) == _total_oracle(n)
+        for k in (n // 4, n // 2, 3 * n // 4):
+            assert w_formula(n, k) == _w_oracle(n, k)
 
 
 def test_w_formula_domain_errors():
@@ -100,6 +148,18 @@ def test_brute_force_w_matches_formula(brute_rows):
             assert table.row.get(k, 0) == w_formula(n, k)
 
 
+def test_sweeps_match_the_public_predicate():
+    # the inlined two-pass test in counting vs is_t_stack_sortable
+    for n in range(1, 8):
+        sortable = [
+            p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)
+        ]
+        runs = Counter(1 + descent_count(p) for p in sortable)
+        assert brute_force_w(n).row == {k: runs[k] for k in sorted(runs)}
+        joint = Counter((1 + descent_count(p), len(rl_maxima(p))) for p in sortable)
+        assert joint_distribution_perms(n) == joint
+
+
 def test_brute_force_w_worker_count_does_not_matter():
     for n in (1, 2, 5, 6):
         assert brute_force_w(n, jobs=2) == brute_force_w(n, jobs=1)
@@ -114,6 +174,12 @@ def test_w_table_matches_formula():
     assert table.n == 5
     assert table.row == {1: 1, 2: 20, 3: 49, 4: 20, 5: 1}
     assert table.total() == w_total(5)
+
+
+def test_w_table_rejects_nonpositive_n():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            w_table(n)
 
 
 def test_count_table_csv():
