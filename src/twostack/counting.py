@@ -183,14 +183,11 @@ def joint_distribution_perms(n: int) -> Distribution:
 def joint_distribution_trees(n: int) -> Distribution:
     """
     Multiset of (leaf count, root label) pairs over all valid trees on
-    n+1 nodes.  Matches :func:`joint_distribution_perms` pair for pair.
+    n+1 nodes, read off the tree count table.  Matches
+    :func:`joint_distribution_perms` pair for pair.
 
     >>> sorted(joint_distribution_trees(2).items())
     [((1, 1), 1), ((2, 2), 1)]
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    dist: Counter = Counter()
-    for tree in trees.enumerate_trees(n + 1):
-        dist[(trees.leaf_count(tree), trees.root_label(tree))] += 1
-    return dist
+    counts = trees.tree_counts(n)
+    return Counter({(leaves, label): count for (label, leaves), count in counts.items()})

@@ -123,7 +123,8 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
 def sorting_passes(perm: Sequence[int]) -> int:
     """
     The minimal number of stack-sorting passes needed to reach the
-    identity.  At most n - 1 passes are ever required.
+    identity.  At most n - 1 passes are ever required, so an input still
+    unsorted after that many is not a permutation and raises ValueError.
 
     >>> sorting_passes((3, 5, 2, 4, 1))
     2
@@ -132,11 +133,11 @@ def sorting_passes(perm: Sequence[int]) -> int:
     """
     cur = tuple(perm)
     ident = identity(len(cur))
-    passes = 0
-    while cur != ident:
+    for passes in range(len(cur) + 1):
+        if cur == ident:
+            return passes
         cur = stack_sort(cur)
-        passes += 1
-    return passes
+    raise ValueError(f"not a permutation of 1..{len(ident)}: {tuple(perm)}")
 
 
 def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
@@ -321,6 +322,8 @@ def restore_type1(marked: tuple[Sequence[int], int]) -> tuple[int, ...]:
     """
     perm, rank = marked
     perm = tuple(perm)
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(f"mark rank must be an integer, got {rank!r}")
     maxima = rl_maxima(perm)
     if not 1 <= rank <= len(maxima):
         raise ValueError(

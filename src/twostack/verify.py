@@ -100,7 +100,7 @@ def _suite_tree_vs_perm(max_n: int, jobs: int) -> list[Check]:
             enumerated = sum(1 for _ in trees.enumerate_trees(n + 1, k))
             checks.append(
                 Check(
-                    f"T({n},{k}) recursion vs enumeration",
+                    f"T({n},{k}) count table vs enumeration",
                     trees.count_trees(n, k),
                     enumerated,
                 )

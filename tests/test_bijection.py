@@ -62,6 +62,10 @@ def test_restore_rejects_bad_rank():
         restore_type1(((2, 1), 0))
     with pytest.raises(ValueError):
         restore_type1(((), 1))
+    with pytest.raises(ValueError):
+        restore_type1(((2, 1), True))
+    with pytest.raises(ValueError):
+        restore_type1(((2, 1), 1.0))
 
 
 def test_round_trip_and_statistics_exhaustive():

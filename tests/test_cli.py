@@ -190,6 +190,22 @@ def test_enumerate_trees_json_lines(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "trees", "--n", "48", "--k", "2"],
+        ["count", "trees", "--n", "100000", "--k", "3", "--method", "enum"],
+        ["enumerate", "trees", "--nodes", "49"],
+        ["enumerate", "trees", "--nodes", "3000", "--leaves", "2", "--format", "json"],
+    ],
+)
+def test_tree_work_budget_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: trees are limited to 48 nodes")
+    assert err.count("\n") == 1
+
+
 def test_enumerate_flag_mixups_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "perms", "--n", "3", "--leaves", "2")
     assert code == 2

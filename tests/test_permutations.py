@@ -149,6 +149,12 @@ def test_sorting_passes():
     assert sorting_passes((3, 5, 2, 4, 1)) == 2
 
 
+@pytest.mark.parametrize("bad", [(1, 1), (2, 2, 2), (0,), (1, 3), (3, 3, 1), (2, 1, 2)])
+def test_sorting_passes_rejects_non_permutations(bad):
+    with pytest.raises(ValueError):
+        sorting_passes(bad)
+
+
 @given(perms(30))
 def test_sorting_passes_bounded_and_consistent(p):
     passes = sorting_passes(p)

@@ -1,8 +1,14 @@
+import json
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
+from twostack.counting import joint_distribution_trees, w_formula
 from twostack.trees import (
+    MAX_NODES,
     count_trees,
     enumerate_trees,
     format_tree,
@@ -11,6 +17,7 @@ from twostack.trees import (
     node_count,
     parse_tree,
     root_label,
+    tree_counts,
     tree_from_json,
     tree_to_json,
     tree_violations,
@@ -76,6 +83,46 @@ def brute_force_trees(m):
     return found
 
 
+def materialised_and_sorted(nodes):
+    """
+    Order oracle: every forest of non-root subtrees built bottom-up and
+    kept, then every tree sorted, as the package once enumerated.
+    """
+    subtrees = {1: [(1,)]}
+    forests = {}
+
+    def forest(m):
+        if m not in forests:
+            out = []
+            for head_size in range(1, m + 1):
+                for head in subtree(head_size):
+                    if head_size == m:
+                        out.append((head,))
+                    else:
+                        out.extend((head, *rest) for rest in forest(m - head_size))
+            forests[m] = out
+        return forests[m]
+
+    def subtree(m):
+        if m not in subtrees:
+            subtrees[m] = [
+                (label, *kids)
+                for kids in forest(m - 1)
+                for label in range(1, sum(kid[0] for kid in kids) + 1)
+            ]
+        return subtrees[m]
+
+    return sorted((sum(kid[0] for kid in kids), *kids) for kids in forest(nodes - 1))
+
+
+any_tree = st.recursive(
+    st.integers(-(10**20), 10**20).map(lambda label: (label,)),
+    lambda kids: st.tuples(st.integers(-(10**20), 10**20), st.lists(kids, min_size=1, max_size=4))
+    .map(lambda node: (node[0], *node[1])),
+    max_leaves=40,
+)
+
+
 # ------------------------------------------------------------ validation
 
 
@@ -126,6 +173,10 @@ def test_malformed_shapes_raise():
         tree_violations(((1,), (1,)))
     with pytest.raises(ValueError):
         tree_violations(())
+    with pytest.raises(ValueError):
+        tree_violations((True, (1,)))
+    with pytest.raises(ValueError):
+        tree_violations((2, (1,), (True,)))
 
 
 # ------------------------------------------------------------- accessors
@@ -194,6 +245,29 @@ def test_single_leaf_tree_is_the_all_ones_path():
         assert depth == m
 
 
+@pytest.mark.parametrize("nodes", range(2, 10))
+def test_stream_equals_materialise_and_sort_oracle(nodes):
+    expected = materialised_and_sorted(nodes)
+    assert list(enumerate_trees(nodes)) == expected
+    for k in range(1, nodes):
+        assert list(enumerate_trees(nodes, k)) == [t for t in expected if leaf_count(t) == k]
+
+
+def test_first_tree_arrives_at_once():
+    start = time.perf_counter()
+    first = next(iter(enumerate_trees(14)))
+    assert time.perf_counter() - start < 0.05
+    assert node_count(first) == 14 and is_valid_tree(first)
+
+
+def test_enumerate_rejects_more_than_the_budget():
+    assert node_count(next(iter(enumerate_trees(MAX_NODES)))) == MAX_NODES
+    with pytest.raises(ValueError, match="limited"):
+        enumerate_trees(MAX_NODES + 1)
+    with pytest.raises(ValueError, match="limited"):
+        enumerate_trees(3000, 2)
+
+
 # --------------------------------------------------------------- counting
 
 
@@ -225,6 +299,37 @@ def test_count_trees_agrees_with_brute_force_runs(brute_rows):
             assert count_trees(n, k) == row.get(k, 0)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_table_matches_enumerated_tally(n):
+    found = list(enumerate_trees(n + 1))
+    by_root = Counter((tree[0], leaf_count(tree)) for tree in found)
+    assert tree_counts(n) == dict(by_root)
+    by_leaves = Counter((leaf_count(tree), tree[0]) for tree in found)
+    assert joint_distribution_trees(n) == by_leaves
+
+
+def test_count_rows_match_formula():
+    for n in range(1, 31):
+        assert [count_trees(n, k) for k in range(1, n + 1)] == [
+            w_formula(n, k) for k in range(1, n + 1)
+        ]
+
+
+def test_counting_rejects_more_than_the_budget(monkeypatch):
+    for call in (
+        lambda: count_trees(MAX_NODES, 1),
+        lambda: count_trees(10**6, 3),
+        lambda: tree_counts(MAX_NODES),
+        lambda: joint_distribution_trees(MAX_NODES),
+    ):
+        with pytest.raises(ValueError, match="limited"):
+            call()
+    monkeypatch.setattr("twostack.trees.MAX_NODES", 6)
+    assert count_trees(5, 2) == 20  # trees on 6 nodes
+    with pytest.raises(ValueError, match="limited"):
+        count_trees(6, 2)
+
+
 # ------------------------------------------------------------- text forms
 
 
@@ -253,6 +358,44 @@ def test_parse_tree_accepts_invalid_candidates():
 def test_parse_tree_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_tree(text)
+
+
+def test_parse_tree_is_not_limited_by_nesting_depth():
+    depth = 3000
+    tree = parse_tree("(1 " * depth + ")" * depth)
+    for _ in range(depth - 1):
+        assert len(tree) == 2 and tree[0] == 1
+        tree = tree[1]
+    assert tree == (1,)
+
+
+@given(any_tree)
+def test_text_and_json_round_trips(tree):
+    assert parse_tree(format_tree(tree)) == tree
+    assert tree_from_json(tree_to_json(tree)) == tree
+    assert tree_from_json(json.loads(json.dumps(tree_to_json(tree)))) == tree
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"label": True},
+        {"label": 2, "children": [{"label": False}]},
+        {"label": 1.0},
+        {"label": "1"},
+        {"children": []},
+        [1],
+        None,
+        {"label": 2, "children": [[1], {"label": 1}]},
+        {"label": 1, "children": {"label": 1}},
+        {"label": 1, "children": "(1)"},
+        {"label": 1, "children": {}},
+        {"label": 1, "children": None},
+    ],
+)
+def test_tree_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        tree_from_json(obj)
 
 
 def test_json_round_trip():
