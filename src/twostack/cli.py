@@ -1,9 +1,9 @@
 """
 Command-line front end.  Every command prints either plain text or a
 stable JSON envelope {"command", "input", "result"}; counts are emitted as
-decimal strings in JSON and CSV so they survive 64-bit consumers.
-
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+decimal strings in JSON and CSV so they survive 64-bit consumers.  Each
+subcommand declares exactly the flags it reads, so the parser rejects any
+other.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import permutations as iter_permutations
 
 from . import counting, trees, verify
@@ -37,13 +38,7 @@ def _emit(args, command: str, input_obj, result_obj, text_lines) -> None:
             print(line)
 
 
-def _reject_csv(args) -> None:
-    if args.format == "csv":
-        raise ValueError("csv output is only supported by the table command")
-
-
 def _cmd_sort(args) -> int:
-    _reject_csv(args)
     if args.passes < 0:
         raise ValueError("--passes must be >= 0")
     perm = parse_permutation(args.perm)
@@ -58,10 +53,11 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_sortable(args) -> int:
-    _reject_csv(args)
     perm = parse_permutation(args.perm)
-    sortable = is_t_stack_sortable(perm, args.t)
+    if args.t < 0:
+        raise ValueError("number of passes must be >= 0")
     needed = sorting_passes(perm)
+    sortable = needed <= args.t
     _emit(
         args,
         "sortable",
@@ -73,7 +69,6 @@ def _cmd_sortable(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    _reject_csv(args)
     stats = statistics(parse_permutation(args.perm))
     _emit(
         args,
@@ -98,7 +93,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    _reject_csv(args)
     perm = parse_permutation(args.perm)
     patt = parse_permutation(args.q)
     found = contains_pattern(perm, patt)
@@ -113,7 +107,6 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_fmap(args) -> int:
-    _reject_csv(args)
     marked = reduce_type1(parse_permutation(args.perm))
     out = format_permutation(marked.perm)
     _emit(
@@ -127,64 +120,49 @@ def _cmd_fmap(args) -> int:
 
 
 def _cmd_finv(args) -> int:
-    _reject_csv(args)
     grown = restore_type1((parse_permutation(args.perm), args.mark))
     out = format_permutation(grown)
     _emit(args, "finv", {"perm": args.perm, "mark": args.mark}, out, [out])
     return 0
 
 
-_COUNT_METHODS = {
-    "w": ("formula", "brute"),
-    "trees": ("formula", "enum"),
-    "maps": ("formula",),
-    "catalan": ("formula",),
-    "total": ("formula", "brute"),
+def _count_w_brute(args) -> int:
+    counting.w_formula(args.n, args.k)  # range check up front
+    return counting.brute_force_w(args.n, args.jobs).row.get(args.k, 0)
+
+
+def _count_trees_enum(args) -> int:
+    trees.check_nodes(args.n + 1)
+    counting.check_exhaustive(args.n)
+    trees.count_trees(args.n, args.k)  # range check up front
+    return sum(1 for _ in trees.enumerate_trees(args.n + 1, args.k))
+
+
+#: (count target, --method) -> counter; each target's --method choices come from here
+_COUNTERS = {
+    ("w", "formula"): lambda args: counting.w_formula(args.n, args.k),
+    ("w", "brute"): _count_w_brute,
+    ("trees", "formula"): lambda args: trees.count_trees(args.n, args.k),
+    ("trees", "enum"): _count_trees_enum,
+    ("maps", "formula"): lambda args: counting.planar_map_count(args.f, args.pv),
+    ("catalan", "formula"): lambda args: counting.catalan(args.n),
+    ("total", "formula"): lambda args: counting.w_total(args.n),
+    ("total", "brute"): lambda args: counting.brute_force_w(args.n, args.jobs).total(),
+}
+
+#: count target -> (help, the flags it requires)
+_COUNT_TARGETS = {
+    "w": ("2-stack sortable n-permutations with k runs", ("--n", "--k")),
+    "trees": ("valid trees on n+1 nodes with k leaves", ("--n", "--k")),
+    "maps": ("nonseparable planar maps with f+1 faces and pv+1 vertices", ("--f", "--pv")),
+    "catalan": ("1-stack sortable n-permutations (Catalan numbers)", ("--n",)),
+    "total": ("2-stack sortable n-permutations", ("--n",)),
 }
 
 
-def _count_value(args) -> int:
-    what, method = args.what, args.method
-    if method not in _COUNT_METHODS[what]:
-        allowed = "/".join(_COUNT_METHODS[what])
-        raise ValueError(f"count {what} supports --method {allowed}, not {method!r}")
-    if what == "w":
-        if args.n is None or args.k is None:
-            raise ValueError("count w requires --n and --k")
-        if method == "brute":
-            counting.w_formula(args.n, args.k)  # range check up front
-            return counting.brute_force_w(args.n, args.jobs).row.get(args.k, 0)
-        return counting.w_formula(args.n, args.k)
-    if what == "trees":
-        if args.n is None or args.k is None:
-            raise ValueError("count trees requires --n and --k (trees on n+1 nodes)")
-        if method == "enum":
-            trees.count_trees(args.n, args.k)  # range check up front
-            return sum(1 for _ in trees.enumerate_trees(args.n + 1, args.k))
-        return trees.count_trees(args.n, args.k)
-    if what == "maps":
-        if args.f is None or args.pv is None:
-            raise ValueError("count maps requires --f and --pv")
-        return counting.planar_map_count(args.f, args.pv)
-    if what == "catalan":
-        if args.n is None:
-            raise ValueError("count catalan requires --n")
-        return counting.catalan(args.n)
-    if args.n is None:
-        raise ValueError("count total requires --n")
-    if method == "brute":
-        return counting.brute_force_w(args.n, args.jobs).total()
-    return counting.w_total(args.n)
-
-
 def _cmd_count(args) -> int:
-    _reject_csv(args)
-    value = _count_value(args)
-    params = {
-        key: getattr(args, key)
-        for key in ("n", "k", "f", "pv")
-        if getattr(args, key) is not None
-    }
+    value = _COUNTERS[args.what, args.method](args)
+    params = {key: getattr(args, key) for key in ("n", "k", "f", "pv") if hasattr(args, key)}
     input_obj = {"what": args.what, "method": args.method, **params}
     _emit(args, "count", input_obj, str(value), [str(value)])
     return 0
@@ -205,42 +183,28 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    _reject_csv(args)
-    if args.what == "perms":
-        if args.n is None:
-            raise ValueError("enumerate perms requires --n")
-        if args.n < 0:
-            raise ValueError("--n must be >= 0")
-        if args.nodes is not None or args.leaves is not None:
-            raise ValueError("--nodes/--leaves only apply to enumerate trees")
-        input_obj = {"what": "perms", "n": args.n, "runs": args.runs, "filter": args.filter}
-        for p in iter_permutations(range(1, args.n + 1)):
-            if args.runs is not None and descent_count(p) + 1 != args.runs:
-                continue
-            if args.filter == "2ss" and not is_t_stack_sortable(p, 2):
-                continue
-            out = format_permutation(p)
-            _emit(args, "enumerate", input_obj, out, [out])
-    else:
-        if args.nodes is None:
-            raise ValueError("enumerate trees requires --nodes")
-        if args.n is not None or args.runs is not None or args.filter is not None:
-            raise ValueError("--n/--runs/--filter only apply to enumerate perms")
-        input_obj = {"what": "trees", "nodes": args.nodes, "leaves": args.leaves}
-        for tree in trees.enumerate_trees(args.nodes, args.leaves):
-            _emit(
-                args,
-                "enumerate",
-                input_obj,
-                trees.tree_to_json(tree),
-                [trees.format_tree(tree)],
-            )
+def _cmd_enumerate_perms(args) -> int:
+    if args.n < 0:
+        raise ValueError("--n must be >= 0")
+    input_obj = {"what": "perms", "n": args.n, "runs": args.runs, "filter": args.filter}
+    for p in iter_permutations(range(1, args.n + 1)):
+        if args.runs is not None and descent_count(p) + 1 != args.runs:
+            continue
+        if args.filter == "2ss" and not is_t_stack_sortable(p, 2):
+            continue
+        out = format_permutation(p)
+        _emit(args, "enumerate", input_obj, out, [out])
+    return 0
+
+
+def _cmd_enumerate_trees(args) -> int:
+    input_obj = {"what": "trees", "nodes": args.nodes, "leaves": args.leaves}
+    for tree in trees.enumerate_trees(args.nodes, args.leaves):
+        _emit(args, "enumerate", input_obj, trees.tree_to_json(tree), [trees.format_tree(tree)])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    _reject_csv(args)
     report = verify.run_suite(args.suite, args.max_n, args.jobs)
     if args.format == "json":
         checks = [
@@ -262,17 +226,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``twostack`` argument parser, built on first use and shared by the process."""
     parser = argparse.ArgumentParser(
         prog="twostack",
         description="Stack sorting, 2-stack sortable permutation counting, "
         "and the matching labeled-tree enumeration.",
     )
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (csv applies to the table command)",
-    )
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sort", parents=[fmt], help="apply stack-sorting passes")
@@ -306,31 +269,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark", type=int, required=True, help="rank of the marked rl maximum")
     p.set_defaults(handler=_cmd_finv)
 
-    p = sub.add_parser("count", parents=[fmt], help="exact counts")
-    p.add_argument("what", choices=("w", "trees", "maps", "catalan", "total"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--f", type=int, help="faces parameter for maps")
-    p.add_argument("--pv", type=int, help="vertices parameter for maps")
-    p.add_argument("--method", choices=("formula", "brute", "enum"), default="formula")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for brute force")
-    p.set_defaults(handler=_cmd_count)
+    # no prefix matching on count and enumerate targets: it would read a flag
+    # the target does not take as one it does (--n as --nodes, --f as --format)
+    strict = {"parents": [fmt], "allow_abbrev": False}
+    targets = sub.add_parser("count", help="exact counts").add_subparsers(
+        dest="what", required=True
+    )
+    for what, (help_text, flags) in _COUNT_TARGETS.items():
+        methods = tuple(method for name, method in _COUNTERS if name == what)
+        p = targets.add_parser(what, help=help_text, **strict)
+        for flag in flags:
+            p.add_argument(flag, type=int, required=True)
+        p.add_argument("--method", choices=methods, default="formula")
+        if "brute" in methods:
+            p.add_argument("--jobs", type=int, default=1, help="worker processes for brute force")
+        p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("table", parents=[fmt], help="full W(n, 1..n) row")
+    p = sub.add_parser("table", help="full W(n, 1..n) row")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser(
-        "enumerate", parents=[fmt],
-        help="stream permutations or trees, one per line, in canonical order",
-    )
-    p.add_argument("what", choices=("perms", "trees"))
-    p.add_argument("--n", type=int, help="permutation length")
+    targets = sub.add_parser(
+        "enumerate", help="stream permutations or trees, one per line, in canonical order"
+    ).add_subparsers(dest="what", required=True)
+    p = targets.add_parser("perms", help="permutations of 1..n", **strict)
+    p.add_argument("--n", type=int, required=True, help="permutation length")
     p.add_argument("--runs", type=int, help="keep only permutations with this many runs")
     p.add_argument("--filter", choices=("2ss",), help="keep only 2-stack sortable permutations")
-    p.add_argument("--nodes", type=int, help="tree node count")
+    p.set_defaults(handler=_cmd_enumerate_perms)
+    p = targets.add_parser("trees", help="valid trees on a given node count", **strict)
+    p.add_argument("--nodes", type=int, required=True, help="tree node count")
     p.add_argument("--leaves", type=int, help="keep only trees with this many leaves")
-    p.set_defaults(handler=_cmd_enumerate)
+    p.set_defaults(handler=_cmd_enumerate_trees)
 
     p = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
@@ -342,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -20,8 +20,18 @@ from math import comb
 from . import trees
 from .permutations import descent_count, identity, rl_maxima, stack_sort
 
-#: multiset of statistic pairs -> multiplicity
-Distribution = Counter
+#: The largest n that the exhaustive counters accept: :func:`brute_force_w`
+#: and :func:`joint_distribution_perms` check all n! permutations, and
+#: ``twostack count trees --method enum`` lists the trees on n+1 nodes.
+#: At n = 11 each takes minutes, and every step up multiplies the work by
+#: about n.
+MAX_EXHAUSTIVE_N = 11
+
+
+def check_exhaustive(n: int) -> None:
+    """Raise ValueError if ``n`` is past the exhaustive counters' budget."""
+    if n > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive counts are limited to n <= {MAX_EXHAUSTIVE_N}, got {n}")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -149,10 +159,11 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     all n! permutations.  ``jobs`` > 1 fans the first-entry partitions out
     to worker processes; the merged result is identical for any job count.
 
-    Practical up to n = 11 serially, a little beyond with workers.
+    Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_exhaustive(n)
     parts = [(n, first) for first in range(1, n + 1)]
     if jobs > 1 and n > 1:
         with multiprocessing.Pool(min(jobs, n)) as pool:
@@ -163,16 +174,17 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     return CountTable(n, {k: row[k] for k in sorted(row)})
 
 
-def joint_distribution_perms(n: int) -> Distribution:
+def joint_distribution_perms(n: int) -> Counter:
     """
     Multiset of (runs, right-to-left maxima) pairs over all 2-stack
-    sortable n-permutations.
+    sortable n-permutations; limited to n <= :data:`MAX_EXHAUSTIVE_N`.
 
     >>> sorted(joint_distribution_perms(2).items())
     [((1, 1), 1), ((2, 2), 1)]
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_exhaustive(n)
     return Counter(
         (1 + descent_count(p), len(rl_maxima(p)))
         for first in range(1, n + 1)
@@ -180,7 +192,7 @@ def joint_distribution_perms(n: int) -> Distribution:
     )
 
 
-def joint_distribution_trees(n: int) -> Distribution:
+def joint_distribution_trees(n: int) -> Counter:
     """
     Multiset of (leaf count, root label) pairs over all valid trees on
     n+1 nodes, read off the tree count table.  Matches

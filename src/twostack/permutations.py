@@ -184,13 +184,6 @@ def descent_count(perm: Sequence[int]) -> int:
     return sum(perm[i] > perm[i + 1] for i in range(len(perm) - 1))
 
 
-def run_count(perm: Sequence[int]) -> int:
-    """Number of maximal increasing blocks; equals descents + 1 for n >= 1."""
-    if not perm:
-        raise ValueError("runs are undefined for the empty permutation")
-    return descent_count(perm) + 1
-
-
 def rl_maxima(perm: Sequence[int]) -> tuple[int, ...]:
     """
     The right-to-left maxima of ``perm`` (entries larger than everything

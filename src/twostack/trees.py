@@ -52,10 +52,6 @@ def leaf_count(tree: Tree) -> int:
     return sum(leaf_count(child) for child in tree[1:])
 
 
-def root_label(tree: Tree) -> int:
-    return tree[0]
-
-
 def tree_violations(tree: Tree) -> list[str]:
     """
     Every labeling constraint the candidate tree breaks, each tagged with
@@ -93,7 +89,8 @@ def is_valid_tree(tree: Tree) -> bool:
     return not tree_violations(tree)
 
 
-def _check_nodes(nodes: int) -> None:
+def check_nodes(nodes: int) -> None:
+    """Raise ValueError if trees on ``nodes`` nodes are past :data:`MAX_NODES`."""
     if nodes > MAX_NODES:
         raise ValueError(f"trees are limited to {MAX_NODES} nodes, got {nodes}")
 
@@ -206,7 +203,7 @@ def enumerate_trees(nodes: int, leaves: int | None = None) -> Iterator[Tree]:
         raise ValueError("a valid tree needs at least a root and one leaf")
     if leaves is not None and not 1 <= leaves <= nodes - 1:
         raise ValueError(f"leaf count must be in 1..{nodes - 1}, got {leaves}")
-    _check_nodes(nodes)
+    check_nodes(nodes)
     found = _canonical_trees(nodes)
     if leaves is None:
         return found
@@ -262,7 +259,7 @@ def tree_counts(n: int) -> dict[tuple[int, int], int]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_nodes(n + 1)
+    check_nodes(n + 1)
     return dict(_forest_row(n))
 
 

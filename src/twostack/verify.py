@@ -258,15 +258,30 @@ _SUITES: dict[str, Callable[[int, int], list[Check]]] = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+#: suite -> the size check its max_n must pass before any work; the formula
+#: suites have none
+_BUDGETS: dict[str, Callable[[int], None]] = {
+    "catalan": counting.check_exhaustive,
+    "formula-vs-brute": counting.check_exhaustive,
+    "tree-vs-perm": lambda max_n: trees.check_nodes(max_n + 1),
+    "joint-rl": counting.check_exhaustive,
+    "lemma1": counting.check_exhaustive,
+    "total": counting.check_exhaustive,
+}
+
 
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport:
     """
     Run one named suite up to ``max_n`` (each suite's customary bound when
-    omitted) and return the full comparison report.
+    omitted) and return the full comparison report.  A suite that
+    enumerates permutations or trees refuses a ``max_n`` past the
+    enumerators' size limits before doing any work.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     bound = SUITE_DEFAULTS[name] if max_n is None else max_n
     if bound < 1:
         raise ValueError(f"max_n must be >= 1, got {bound}")
+    if name in _BUDGETS:
+        _BUDGETS[name](bound)
     return SuiteReport(name, bound, _SUITES[name](bound, jobs))

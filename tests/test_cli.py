@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twostack.cli import main
+from twostack.cli import build_parser, main
 from twostack.permutations import stack_sort
 
 
@@ -47,6 +47,20 @@ def test_sortable_witness_no(capsys):
     code, out, _ = run(capsys, "sortable", "3 2 4 1", "--t", "2")
     assert code == 0
     assert out.splitlines()[0] == "no"
+
+
+@pytest.mark.parametrize(
+    "perm, t, verdict",
+    [("1 2 3", "0", "yes"), ("2 1", "0", "no"), ("2 1", "1", "yes"), ("3 5 2 4 1", "1", "no")],
+)
+def test_sortable_at_the_pass_boundary(capsys, perm, t, verdict):
+    code, out, _ = run(capsys, "sortable", perm, "--t", t)
+    assert (code, out.splitlines()[0]) == (0, verdict)
+
+
+def test_sortable_rejects_negative_passes(capsys):
+    code, out, err = run(capsys, "sortable", "3 2 4 1", "--t", "-1")
+    assert (code, out, err) == (2, "", "error: number of passes must be >= 0\n")
 
 
 def test_stats_text(capsys):
@@ -115,15 +129,23 @@ def test_count_total_catalan_maps(capsys):
     assert (code, out) == (0, "10\n")
 
 
-def test_count_missing_flags(capsys):
-    code, _, err = run(capsys, "count", "w", "--n", "4")
-    assert code == 2
-    assert "--k" in err
+def test_count_maps_json_envelope(capsys):
+    code, out, _ = run(capsys, "count", "maps", "--f", "2", "--pv", "3", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"command": "count", "input": {"what": "maps", "method": "formula", "f": 2, "pv": 3}, '
+        '"result": "10"}\n'
+    )
 
 
-def test_count_bad_method_combination(capsys):
-    code, _, err = run(capsys, "count", "catalan", "--n", "4", "--method", "brute")
-    assert code == 2
+def test_parser_is_built_once_and_shared(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.setattr("argparse.ArgumentParser", None)  # building another parser now fails
+    argv = ["count", "w", "--n", "4", "--k", "2", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--method", "brute")
+    assert (code, json.loads(out)["input"]["method"]) == (0, "brute")
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["input"]["method"]) == (0, "formula")
 
 
 def test_table_csv(capsys):
@@ -206,11 +228,36 @@ def test_tree_work_budget_exit_two(capsys, argv):
     assert err.count("\n") == 1
 
 
-def test_enumerate_flag_mixups_rejected(capsys):
-    code, _, err = run(capsys, "enumerate", "perms", "--n", "3", "--leaves", "2")
-    assert code == 2
-    code, _, err = run(capsys, "enumerate", "trees", "--nodes", "3", "--runs", "2")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["count", "w", "--n", "12", "--k", "3", "--method", "brute"], 12),
+        (["count", "total", "--n", "20", "--method", "brute"], 20),
+        (["count", "trees", "--n", "47", "--k", "5", "--method", "enum"], 47),
+        (["verify", "--suite", "total", "--max-n", "20"], 20),
+        (["verify", "--suite", "joint-rl", "--max-n", "12", "--format", "json"], 12),
+    ],
+)
+def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
+    def not_allowed(*args):
+        raise AssertionError("worked past the budget")
+
+    monkeypatch.setattr("twostack.counting._two_sortable", not_allowed)
+    monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
+    monkeypatch.setattr("twostack.trees._forest_row", not_allowed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: exhaustive counts are limited to n <= 11, got {n}\n"
+
+
+def test_exhaustive_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 4)
+    limited = "error: exhaustive counts are limited to n <= 4, got 5\n"
+    for target, at_limit in ((["w", "--k", "2", "--method", "brute"], "10\n"),
+                             (["trees", "--k", "2", "--method", "enum"], "10\n"),
+                             (["total", "--method", "brute"], "22\n")):
+        assert run(capsys, "count", *target, "--n", "4") == (0, at_limit, "")
+        assert run(capsys, "count", *target, "--n", "5") == (2, "", limited)
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -248,9 +295,56 @@ def test_unknown_flag_rejected(capsys):
     assert code == 2
 
 
-def test_csv_rejected_outside_table(capsys):
-    code, _, err = run(capsys, "count", "catalan", "--n", "3", "--format", "csv")
-    assert code == 2
+#: id -> (argv the parser rejects, the flag or value its error line names)
+MISPLACED = {
+    "count-w-without-k": (["count", "w", "--n", "4"], "--k"),
+    "count-maps-without-pv": (["count", "maps", "--f", "2"], "--pv"),
+    "count-catalan-without-n": (["count", "catalan"], "--n"),
+    "enumerate-perms-without-n": (["enumerate", "perms"], "--n"),
+    "enumerate-trees-without-nodes": (["enumerate", "trees", "--leaves", "2"], "--nodes"),
+    "count-catalan-brute": (["count", "catalan", "--n", "4", "--method", "brute"], "--method"),
+    "count-maps-brute": (
+        ["count", "maps", "--f", "2", "--pv", "3", "--method", "brute"],
+        "--method",
+    ),
+    "count-w-enum": (["count", "w", "--n", "4", "--k", "2", "--method", "enum"], "--method"),
+    "count-trees-brute": (
+        ["count", "trees", "--n", "4", "--k", "2", "--method", "brute"],
+        "--method",
+    ),
+    "count-total-enum": (["count", "total", "--n", "4", "--method", "enum"], "--method"),
+    "enumerate-perms-leaves": (["enumerate", "perms", "--n", "3", "--leaves", "2"], "--leaves"),
+    "enumerate-trees-runs": (["enumerate", "trees", "--nodes", "3", "--runs", "2"], "--runs"),
+    "enumerate-trees-filter": (
+        ["enumerate", "trees", "--nodes", "3", "--filter", "2ss"],
+        "--filter",
+    ),
+    "count-catalan-csv": (["count", "catalan", "--n", "3", "--format", "csv"], "csv"),
+    "sort-csv": (["sort", "2 1", "--format", "csv"], "csv"),
+    "enumerate-trees-csv": (["enumerate", "trees", "--nodes", "3", "--format", "csv"], "csv"),
+    "verify-csv": (["verify", "--suite", "symmetry", "--format", "csv"], "csv"),
+    # flags the target used to accept and ignore
+    "count-catalan-jobs": (["count", "catalan", "--n", "4", "--jobs", "2"], "--jobs"),
+    "count-trees-jobs": (["count", "trees", "--n", "4", "--k", "2", "--jobs", "2"], "--jobs"),
+    "count-maps-n": (["count", "maps", "--n", "3", "--f", "2", "--pv", "3"], "--n"),
+    "count-total-k": (["count", "total", "--n", "4", "--k", "2"], "--k"),
+    "count-w-f-pv": (
+        ["count", "w", "--n", "4", "--k", "2", "--f", "1", "--pv", "2"],
+        "--f",
+    ),
+    "enumerate-perms-nodes": (["enumerate", "perms", "--n", "3", "--nodes", "2"], "--nodes"),
+    # no prefix matching: these are not --nodes and --format
+    "enumerate-trees-n": (["enumerate", "trees", "--nodes", "3", "--n", "2"], "--n"),
+    "count-total-f": (["count", "total", "--n", "4", "--f", "json"], "--f"),
+}
+
+
+@pytest.mark.parametrize("argv, named", MISPLACED.values(), ids=list(MISPLACED))
+def test_misplaced_input_exit_two(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = err.splitlines()[-1]
+    assert "error:" in error and named in error
 
 
 def test_json_envelope_is_schema_stable(capsys):

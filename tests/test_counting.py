@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from twostack.counting import (
+    MAX_EXHAUSTIVE_N,
     CountTable,
     brute_force_w,
     catalan,
@@ -222,3 +223,20 @@ def test_joint_distribution_domain_errors():
         joint_distribution_perms(0)
     with pytest.raises(ValueError):
         joint_distribution_trees(0)
+
+
+def test_exhaustive_counters_respect_the_budget(monkeypatch):
+    def sweep_not_allowed(n, first):
+        raise AssertionError(f"swept n={n} past the budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("twostack.counting._two_sortable", sweep_not_allowed)
+        for call in (brute_force_w, joint_distribution_perms):
+            with pytest.raises(ValueError, match="limited to n <= 11"):
+                call(MAX_EXHAUSTIVE_N + 1)
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 4)
+    assert brute_force_w(4).total() == 22
+    assert sum(joint_distribution_perms(4).values()) == 22
+    for call in (brute_force_w, joint_distribution_perms):
+        with pytest.raises(ValueError, match="limited to n <= 4"):
+            call(5)

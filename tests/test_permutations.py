@@ -16,7 +16,6 @@ from twostack.permutations import (
     parse_permutation,
     perm_type,
     rl_maxima,
-    run_count,
     sorting_passes,
     stack_sort,
     statistics,
@@ -211,8 +210,6 @@ def test_statistics_frozen_examples():
 def test_statistics_requires_nonempty():
     with pytest.raises(ValueError):
         statistics(())
-    with pytest.raises(ValueError):
-        run_count(())
     with pytest.raises(ValueError):
         perm_type(())
 

@@ -16,7 +16,6 @@ from twostack.trees import (
     leaf_count,
     node_count,
     parse_tree,
-    root_label,
     tree_counts,
     tree_from_json,
     tree_to_json,
@@ -183,10 +182,9 @@ def test_malformed_shapes_raise():
 
 
 def test_leaf_count_and_root_label():
-    assert (leaf_count(EXAMPLE), root_label(EXAMPLE)) == (3, 3)
-    assert (leaf_count(SMALLEST), root_label(SMALLEST)) == (1, 1)
-    star = (3, (1,), (1,), (1,))
-    assert (leaf_count(star), root_label(star)) == (3, 3)
+    assert leaf_count(EXAMPLE) == 3
+    assert leaf_count(SMALLEST) == 1
+    assert leaf_count((3, (1,), (1,), (1,))) == 3
 
 
 # ------------------------------------------------------------ enumeration

@@ -1,5 +1,6 @@
 import pytest
 
+from twostack import verify
 from twostack.verify import SUITE_DEFAULTS, SUITE_NAMES, Check, SuiteReport, run_suite
 
 # suites are exercised at reduced bounds here to stay quick; the acceptance
@@ -55,3 +56,35 @@ def test_default_bound_is_used_when_omitted():
     report = run_suite("joint-rl", None)
     assert report.max_n == SUITE_DEFAULTS["joint-rl"]
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "name, max_n, message",
+    [
+        ("catalan", 12, "exhaustive counts are limited to n <= 11"),
+        ("formula-vs-brute", 12, "exhaustive counts are limited to n <= 11"),
+        ("joint-rl", 12, "exhaustive counts are limited to n <= 11"),
+        ("lemma1", 12, "exhaustive counts are limited to n <= 11"),
+        ("total", 20, "exhaustive counts are limited to n <= 11"),
+        ("tree-vs-perm", 48, "trees are limited to 48 nodes, got 49"),
+    ],
+)
+def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, max_n, message):
+    def suite_not_allowed(max_n, jobs):
+        raise AssertionError(f"suite {name} started at max_n={max_n}")
+
+    monkeypatch.setitem(verify._SUITES, name, suite_not_allowed)
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, max_n)
+
+
+def test_budget_boundary_follows_the_constant(monkeypatch):
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 3)
+    assert run_suite("total", 3).passed
+    assert run_suite("unimodality", 30).passed  # a formula suite has no budget
+    with pytest.raises(ValueError, match="limited to n <= 3"):
+        run_suite("total", 4)
+    monkeypatch.setattr("twostack.trees.MAX_NODES", 6)
+    assert run_suite("tree-vs-perm", 5).passed
+    with pytest.raises(ValueError, match="limited to 6 nodes"):
+        run_suite("tree-vs-perm", 6)
