@@ -23,7 +23,6 @@ from .permutations import (
     descent_count,
     format_permutation,
     identity,
-    is_permutation,
     is_t_stack_sortable,
     parse_permutation,
     perm_type,
@@ -68,7 +67,6 @@ __all__ = [
     "format_permutation",
     "format_tree",
     "identity",
-    "is_permutation",
     "is_t_stack_sortable",
     "is_valid_tree",
     "joint_distribution_perms",

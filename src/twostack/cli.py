@@ -20,7 +20,6 @@ from .permutations import (
     descent_count,
     format_permutation,
     identity,
-    is_t_stack_sortable,
     parse_permutation,
     reduce_type1,
     restore_type1,
@@ -187,10 +186,12 @@ def _cmd_enumerate_perms(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     input_obj = {"what": "perms", "n": args.n, "runs": args.runs, "filter": args.filter}
-    for p in iter_permutations(range(1, args.n + 1)):
+    if args.filter == "2ss":
+        perms = counting.two_stack_sortable(args.n)
+    else:
+        perms = iter_permutations(range(1, args.n + 1))
+    for p in perms:
         if args.runs is not None and descent_count(p) + 1 != args.runs:
-            continue
-        if args.filter == "2ss" and not is_t_stack_sortable(p, 2):
             continue
         out = format_permutation(p)
         _emit(args, "enumerate", input_obj, out, [out])
@@ -241,39 +242,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sort", parents=[fmt], help="apply stack-sorting passes")
     p.add_argument("perm", help='permutation, e.g. "3 5 2 4 1"')
     p.add_argument("--passes", type=int, default=1, help="number of passes (default 1)")
-    p.set_defaults(handler=_cmd_sort)
+    p.set_defaults(handler=_cmd_sort, parser=p)
 
     p = sub.add_parser("sortable", parents=[fmt], help="test t-stack sortability")
     p.add_argument("perm")
     p.add_argument("--t", type=int, required=True, help="number of allowed passes")
-    p.set_defaults(handler=_cmd_sortable)
+    p.set_defaults(handler=_cmd_sortable, parser=p)
 
     p = sub.add_parser("stats", parents=[fmt], help="descents/runs/rl-maxima/type")
     p.add_argument("perm")
-    p.set_defaults(handler=_cmd_stats)
+    p.set_defaults(handler=_cmd_stats, parser=p)
 
     p = sub.add_parser("pattern", parents=[fmt], help="pattern containment test")
     p.add_argument("perm")
     p.add_argument("--q", required=True, help='pattern, e.g. "2 3 1"')
-    p.set_defaults(handler=_cmd_pattern)
+    p.set_defaults(handler=_cmd_pattern, parser=p)
 
     p = sub.add_parser(
         "fmap", parents=[fmt],
         help="shrink a type-1 permutation to a marked (n-1)-permutation",
     )
     p.add_argument("perm")
-    p.set_defaults(handler=_cmd_fmap)
+    p.set_defaults(handler=_cmd_fmap, parser=p)
 
     p = sub.add_parser("finv", parents=[fmt], help="inverse of fmap")
     p.add_argument("perm")
     p.add_argument("--mark", type=int, required=True, help="rank of the marked rl maximum")
-    p.set_defaults(handler=_cmd_finv)
+    p.set_defaults(handler=_cmd_finv, parser=p)
 
     # no prefix matching on count and enumerate targets: it would read a flag
     # the target does not take as one it does (--n as --nodes, --f as --format)
     strict = {"parents": [fmt], "allow_abbrev": False}
     targets = sub.add_parser("count", help="exact counts").add_subparsers(
-        dest="what", required=True
+        dest="what", metavar="target", required=True
     )
     for what, (help_text, flags) in _COUNT_TARGETS.items():
         methods = tuple(method for name, method in _COUNTERS if name == what)
@@ -283,38 +284,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=methods, default="formula")
         if "brute" in methods:
             p.add_argument("--jobs", type=int, default=1, help="worker processes for brute force")
-        p.set_defaults(handler=_cmd_count)
+        p.set_defaults(handler=_cmd_count, parser=p)
 
     p = sub.add_parser("table", help="full W(n, 1..n) row")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(handler=_cmd_table)
+    p.set_defaults(handler=_cmd_table, parser=p)
 
     targets = sub.add_parser(
         "enumerate", help="stream permutations or trees, one per line, in canonical order"
-    ).add_subparsers(dest="what", required=True)
+    ).add_subparsers(dest="what", metavar="target", required=True)
     p = targets.add_parser("perms", help="permutations of 1..n", **strict)
     p.add_argument("--n", type=int, required=True, help="permutation length")
     p.add_argument("--runs", type=int, help="keep only permutations with this many runs")
     p.add_argument("--filter", choices=("2ss",), help="keep only 2-stack sortable permutations")
-    p.set_defaults(handler=_cmd_enumerate_perms)
+    p.set_defaults(handler=_cmd_enumerate_perms, parser=p)
     p = targets.add_parser("trees", help="valid trees on a given node count", **strict)
     p.add_argument("--nodes", type=int, required=True, help="tree node count")
     p.add_argument("--leaves", type=int, help="keep only trees with this many leaves")
-    p.set_defaults(handler=_cmd_enumerate_trees)
+    p.set_defaults(handler=_cmd_enumerate_trees, parser=p)
 
     p = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
     p.add_argument("--max-n", type=int, default=None, help="override the suite's bound")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:  # named by the chosen command's parser, so its usage line is shown
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

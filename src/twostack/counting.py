@@ -11,11 +11,10 @@ depend on the number of workers.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
 from math import comb
+from typing import Iterator, NamedTuple
 
 from . import trees
 from .permutations import descent_count, identity, rl_maxima, stack_sort
@@ -106,8 +105,7 @@ def catalan(n: int) -> int:
     return _exact_div(comb(2 * n, n), n + 1)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """One row of counts for fixed n, indexed by k."""
 
     n: int
@@ -148,6 +146,25 @@ def _two_sortable(n, first):
             yield p
 
 
+def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
+    """
+    Yield every 2-stack sortable n-permutation in lexicographic order, by
+    checking all n! permutations; n = 0 yields the empty permutation.
+    Being lazy, it is not limited to n <= :data:`MAX_EXHAUSTIVE_N`.
+
+    >>> list(two_stack_sortable(0))
+    [()]
+    >>> sum(1 for _ in two_stack_sortable(4))
+    22
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        yield from _two_sortable(n, first)
+
+
 def _two_sortable_runs(n, first):
     """Tally runs of 2-stack sortable n-permutations starting with ``first``."""
     return Counter(1 + descent_count(p) for p in _two_sortable(n, first))
@@ -166,6 +183,8 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     check_exhaustive(n)
     parts = [(n, first) for first in range(1, n + 1)]
     if jobs > 1 and n > 1:
+        import multiprocessing  # here only: it adds about 8 ms to every CLI start
+
         with multiprocessing.Pool(min(jobs, n)) as pool:
             tallies = pool.starmap(_two_sortable_runs, parts)
     else:
@@ -185,11 +204,7 @@ def joint_distribution_perms(n: int) -> Counter:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_exhaustive(n)
-    return Counter(
-        (1 + descent_count(p), len(rl_maxima(p)))
-        for first in range(1, n + 1)
-        for p in _two_sortable(n, first)
-    )
+    return Counter((1 + descent_count(p), len(rl_maxima(p))) for p in two_stack_sortable(n))
 
 
 def joint_distribution_trees(n: int) -> Counter:

@@ -14,7 +14,6 @@ separated by single spaces or commas, e.g. ``"3 5 2 4 1"`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -35,11 +34,6 @@ def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
     return perm
-
-
-def is_permutation(entries: Sequence[int]) -> bool:
-    """Check that ``entries`` is a rearrangement of 1..n with no repeats."""
-    return sorted(entries) == list(range(1, len(entries) + 1))
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -234,8 +228,7 @@ def perm_type(perm: Sequence[int]) -> int:
     return 1 if lower < pos < len(perm) - 1 else 2
 
 
-@dataclass(frozen=True)
-class Statistics:
+class Statistics(NamedTuple):
     """Descent/run/right-to-left-maximum statistics of one permutation."""
 
     descents: int

@@ -5,17 +5,15 @@ against an independent brute-force route and reports every comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import counting, trees
 from .permutations import (
     MarkedPermutation,
     contains_pattern,
     descent_count,
-    is_t_stack_sortable,
     perm_type,
     reduce_type1,
     restore_type1,
@@ -23,21 +21,8 @@ from .permutations import (
     stack_sort,
 )
 
-SUITE_DEFAULTS = {
-    "catalan": 9,
-    "formula-vs-brute": 9,
-    "tree-vs-perm": 8,
-    "joint-rl": 7,
-    "symmetry": 200,
-    "unimodality": 200,
-    "map-substitution": 50,
-    "lemma1": 8,
-    "total": 9,
-}
 
-
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     expected: object
     actual: object
@@ -47,8 +32,7 @@ class Check:
         return self.expected == self.actual
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     max_n: int
     checks: list[Check]
@@ -201,37 +185,33 @@ def _suite_catalan(max_n: int, jobs: int) -> list[Check]:
 def _suite_lemma1(max_n: int, jobs: int) -> list[Check]:
     checks = []
     for n in range(2, max_n + 1):
-        type1 = []
+        reduced = {}  # type-1 p -> reduce_type1(p)
         type2 = 0
         for p in permutations(range(1, n + 1)):
             if perm_type(p) == 1:
-                type1.append(p)
+                reduced[p] = reduce_type1(p)
             else:
                 type2 += 1
         checks.append(
-            Check(f"type-1/type-2 partition, n={n}", factorial(n), len(type1) + type2)
+            Check(f"type-1/type-2 partition, n={n}", factorial(n), len(reduced) + type2)
         )
 
-        bad_round = sum(restore_type1(reduce_type1(p)) != p for p in type1)
-        bad_desc = sum(
-            descent_count(reduce_type1(p).perm) != descent_count(p) for p in type1
-        )
-        bad_rl = sum(
-            len(rl_maxima(reduce_type1(p).perm)) < len(rl_maxima(p)) for p in type1
-        )
+        pairs = reduced.items()
+        bad_round = sum(restore_type1(mp) != p for p, mp in pairs)
+        bad_desc = sum(descent_count(mp.perm) != descent_count(p) for p, mp in pairs)
+        bad_rl = sum(len(rl_maxima(mp.perm)) < len(rl_maxima(p)) for p, mp in pairs)
         checks.append(Check(f"restore(reduce(p)) = p on type-1, n={n}", 0, bad_round))
         checks.append(Check(f"descents preserved on type-1, n={n}", 0, bad_desc))
         checks.append(Check(f"rl maxima never decrease on type-1, n={n}", 0, bad_rl))
 
-        sortable_type1 = [p for p in type1 if is_t_stack_sortable(p, 2)]
-        image = {reduce_type1(p) for p in sortable_type1}
+        sortable_images = [reduced[p] for p in counting.two_stack_sortable(n) if p in reduced]
+        image = set(sortable_images)
         target = {
             MarkedPermutation(q, r)
-            for q in permutations(range(1, n))
-            if is_t_stack_sortable(q, 2)
+            for q in counting.two_stack_sortable(n - 1)
             for r in range(1, len(rl_maxima(q)) + 1)
         }
-        checks.append(Check(f"injective on sortable type-1, n={n}", len(sortable_type1), len(image)))
+        checks.append(Check(f"injective on sortable type-1, n={n}", len(sortable_images), len(image)))
         checks.append(Check(f"image is all marked sortable, n={n}", 0, len(image ^ target)))
 
         marked = [
@@ -244,30 +224,22 @@ def _suite_lemma1(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-_SUITES: dict[str, Callable[[int, int], list[Check]]] = {
-    "catalan": _suite_catalan,
-    "formula-vs-brute": _suite_formula_vs_brute,
-    "tree-vs-perm": _suite_tree_vs_perm,
-    "joint-rl": _suite_joint_rl,
-    "symmetry": _suite_symmetry,
-    "unimodality": _suite_unimodality,
-    "map-substitution": _suite_map_substitution,
-    "lemma1": _suite_lemma1,
-    "total": _suite_total,
+#: suite -> (its checks, its customary max_n, the size check max_n must pass
+#: before any work, or None for the formula suites)
+_SUITES: dict[str, tuple[Callable[[int, int], list[Check]], int, Callable | None]] = {
+    "catalan": (_suite_catalan, 9, counting.check_exhaustive),
+    "formula-vs-brute": (_suite_formula_vs_brute, 9, counting.check_exhaustive),
+    "tree-vs-perm": (_suite_tree_vs_perm, 8, lambda max_n: trees.check_nodes(max_n + 1)),
+    "joint-rl": (_suite_joint_rl, 7, counting.check_exhaustive),
+    "symmetry": (_suite_symmetry, 200, None),
+    "unimodality": (_suite_unimodality, 200, None),
+    "map-substitution": (_suite_map_substitution, 50, None),
+    "lemma1": (_suite_lemma1, 8, counting.check_exhaustive),
+    "total": (_suite_total, 9, counting.check_exhaustive),
 }
 
 SUITE_NAMES = tuple(_SUITES)
-
-#: suite -> the size check its max_n must pass before any work; the formula
-#: suites have none
-_BUDGETS: dict[str, Callable[[int], None]] = {
-    "catalan": counting.check_exhaustive,
-    "formula-vs-brute": counting.check_exhaustive,
-    "tree-vs-perm": lambda max_n: trees.check_nodes(max_n + 1),
-    "joint-rl": counting.check_exhaustive,
-    "lemma1": counting.check_exhaustive,
-    "total": counting.check_exhaustive,
-}
+SUITE_DEFAULTS = {name: default for name, (_, default, _) in _SUITES.items()}
 
 
 def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport:
@@ -279,9 +251,10 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    bound = SUITE_DEFAULTS[name] if max_n is None else max_n
+    suite, default, check_size = _SUITES[name]
+    bound = default if max_n is None else max_n
     if bound < 1:
         raise ValueError(f"max_n must be >= 1, got {bound}")
-    if name in _BUDGETS:
-        _BUDGETS[name](bound)
-    return SuiteReport(name, bound, _SUITES[name](bound, jobs))
+    if check_size is not None:
+        check_size(bound)
+    return SuiteReport(name, bound, suite(bound, jobs))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twostack
 from twostack.cli import build_parser, main
 from twostack.permutations import stack_sort
 
@@ -148,6 +153,17 @@ def test_parser_is_built_once_and_shared(capsys, monkeypatch):
     assert (code, json.loads(out)["input"]["method"]) == (0, "formula")
 
 
+def test_cli_import_skips_dataclasses_and_multiprocessing():
+    # each adds several ms to every CLI start; only --jobs > 1 needs multiprocessing
+    probe = (
+        "import sys, twostack.cli; "
+        "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(twostack.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--format", "csv")
     assert code == 0
@@ -182,6 +198,8 @@ def test_enumerate_perms_filters(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 10  # W(4,2)
+    # the empty permutation is 2-stack sortable: one empty line
+    assert run(capsys, "enumerate", "perms", "--n", "0", "--filter", "2ss") == (0, "\n", "")
 
 
 def test_enumerate_trees_stream(capsys):
@@ -336,6 +354,9 @@ MISPLACED = {
     # no prefix matching: these are not --nodes and --format
     "enumerate-trees-n": (["enumerate", "trees", "--nodes", "3", "--n", "2"], "--n"),
     "count-total-f": (["count", "total", "--n", "4", "--f", "json"], "--f"),
+    # a missing target is named as such, not by the parser's internal name
+    "count-without-target": (["count"], "required: target"),
+    "enumerate-without-target": (["enumerate"], "required: target"),
 }
 
 
@@ -345,6 +366,9 @@ def test_misplaced_input_exit_two(capsys, argv, named):
     assert (code, out) == (2, "")
     error = err.splitlines()[-1]
     assert "error:" in error and named in error
+    # the usage line is the chosen command's or target's, not the top level's
+    command = argv[:2] if argv[0] in ("count", "enumerate") else argv[:1]
+    assert err.startswith(f"usage: twostack {' '.join(command)} ")
 
 
 def test_json_envelope_is_schema_stable(capsys):

@@ -13,6 +13,7 @@ from twostack.counting import (
     joint_distribution_perms,
     joint_distribution_trees,
     planar_map_count,
+    two_stack_sortable,
     w_formula,
     w_table,
     w_total,
@@ -141,20 +142,15 @@ def test_brute_force_w_frozen():
         brute_force_w(0)
 
 
-def test_brute_force_w_matches_formula(brute_rows):
-    for n in range(1, 10):
-        table = brute_rows[n]
-        assert table.total() == w_total(n)
-        for k in range(1, n + 1):
-            assert table.row.get(k, 0) == w_formula(n, k)
-
-
 def test_sweeps_match_the_public_predicate():
     # the inlined two-pass test in counting vs is_t_stack_sortable
-    for n in range(1, 8):
+    for n in range(0, 8):
         sortable = [
             p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)
         ]
+        assert list(two_stack_sortable(n)) == sortable  # order included
+        if n == 0:
+            continue
         runs = Counter(1 + descent_count(p) for p in sortable)
         assert brute_force_w(n).row == {k: runs[k] for k in sorted(runs)}
         joint = Counter((1 + descent_count(p), len(rl_maxima(p))) for p in sortable)

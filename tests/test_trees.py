@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from twostack.counting import joint_distribution_trees, w_formula
+from twostack.counting import brute_force_w, joint_distribution_trees, w_formula
 from twostack.trees import (
     MAX_NODES,
     count_trees,
@@ -289,10 +289,10 @@ def test_count_trees_agrees_with_enumeration():
             assert count_trees(n, k) == sum(1 for _ in enumerate_trees(n + 1, k))
 
 
-def test_count_trees_agrees_with_brute_force_runs(brute_rows):
+def test_count_trees_agrees_with_brute_force_runs():
     # trees on n+1 nodes with k leaves match sortable permutations by runs
     for n in range(1, 9):
-        row = brute_rows[n].row
+        row = brute_force_w(n).row
         for k in range(1, n + 1):
             assert count_trees(n, k) == row.get(k, 0)
 

@@ -73,7 +73,8 @@ def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, ma
     def suite_not_allowed(max_n, jobs):
         raise AssertionError(f"suite {name} started at max_n={max_n}")
 
-    monkeypatch.setitem(verify._SUITES, name, suite_not_allowed)
+    _, default, check_size = verify._SUITES[name]
+    monkeypatch.setitem(verify._SUITES, name, (suite_not_allowed, default, check_size))
     with pytest.raises(ValueError, match=message):
         run_suite(name, max_n)
 
