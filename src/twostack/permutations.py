@@ -14,6 +14,8 @@ separated by single spaces or commas, e.g. ``"3 5 2 4 1"`` or
 
 from __future__ import annotations
 
+from math import inf
+from operator import gt
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -140,8 +142,10 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     pattern ``patt``: indices i_1 < ... < i_k with perm[i_a] < perm[i_b]
     exactly when patt[a] < patt[b].
 
-    Naive backtracking over index choices; fine for the desk-scale lengths
-    this library targets.
+    Backtracking over index choices, without recursion.  A candidate for
+    a pattern position needs one interval test: it must lie between the
+    entries chosen for the earlier positions holding the nearest smaller
+    and nearest larger pattern values.
 
     >>> contains_pattern((3, 5, 2, 4, 1), (2, 3, 1))
     True
@@ -155,27 +159,42 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     if k > n:
         return False
 
-    chosen: list[int] = []
+    # chosen[j] = perm[picked[j]] fills pattern position j; bounds[j] holds the
+    # positions of its bounds, with slots k and k + 1 below and above all
+    chosen = [0] * k + [-inf, inf]
+    picked = [0] * k
+    values = (*patt, -inf, inf)
+    bounds = []
+    for j, x in enumerate(patt):
+        lo, hi = k, k + 1
+        for a in range(j):
+            if values[lo] < patt[a] < x:
+                lo = a
+            elif x < patt[a] < values[hi]:
+                hi = a
+        bounds.append((lo, hi))
 
-    def extend(start: int) -> bool:
-        j = len(chosen)
-        if j == k:
-            return True
-        for i in range(start, n - (k - j) + 1):
+    j = start = 0
+    while j < k:
+        lo, hi = bounds[j]
+        low, high = chosen[lo], chosen[hi]
+        for i in range(start, n - k + j + 1):
             v = perm[i]
-            if all((v > w) == (patt[j] > patt[a]) for a, w in enumerate(chosen)):
-                chosen.append(v)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+            if low < v < high:
+                chosen[j], picked[j] = v, i
+                j, start = j + 1, i + 1
+                break
+        else:  # no entry fits position j after the current choices: backtrack
+            if j == 0:
+                return False
+            j -= 1
+            start = picked[j] + 1
+    return True
 
 
 def descent_count(perm: Sequence[int]) -> int:
     """Number of positions i with perm[i] > perm[i+1]."""
-    return sum(perm[i] > perm[i + 1] for i in range(len(perm) - 1))
+    return sum(map(gt, perm, perm[1:]))
 
 
 def rl_maxima(perm: Sequence[int]) -> tuple[int, ...]:
@@ -219,13 +238,11 @@ def perm_type(perm: Sequence[int]) -> int:
     """
     if not perm:
         raise ValueError("type is undefined for the empty permutation")
-    maxima = rl_maxima(perm)
-    last = maxima[-1]
+    last = perm[-1]  # a_t
     if last == 1:
         return 2
-    pos = perm.index(last - 1)
-    lower = perm.index(maxima[-2]) if len(maxima) >= 2 else -1
-    return 1 if lower < pos < len(perm) - 1 else 2
+    # a_t - 1 lies in s_t exactly when no entry after it but a_t exceeds a_t
+    return 1 if max(perm[perm.index(last - 1) + 1 :]) == last else 2
 
 
 class Statistics(NamedTuple):

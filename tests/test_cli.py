@@ -254,6 +254,7 @@ def test_tree_work_budget_exit_two(capsys, argv):
         (["count", "trees", "--n", "47", "--k", "5", "--method", "enum"], 47),
         (["verify", "--suite", "total", "--max-n", "20"], 20),
         (["verify", "--suite", "joint-rl", "--max-n", "12", "--format", "json"], 12),
+        (["enumerate", "perms", "--n", "12", "--filter", "2ss"], 12),
     ],
 )
 def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
@@ -276,6 +277,18 @@ def test_exhaustive_budget_boundary(capsys, monkeypatch):
                              (["total", "--method", "brute"], "22\n")):
         assert run(capsys, "count", *target, "--n", "4") == (0, at_limit, "")
         assert run(capsys, "count", *target, "--n", "5") == (2, "", limited)
+
+
+@pytest.mark.parametrize("suite", ["symmetry", "unimodality", "map-substitution"])
+def test_formula_budget_exit_two(capsys, monkeypatch, suite):
+    def formula_not_allowed(*args):
+        raise AssertionError("worked past the budget")
+
+    monkeypatch.setattr("twostack.counting.w_formula", formula_not_allowed)
+    monkeypatch.setattr("twostack.counting.planar_map_count", formula_not_allowed)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: formula suites are limited to max_n <= 500, got 100000\n"
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -157,6 +157,14 @@ def test_sweeps_match_the_public_predicate():
         assert joint_distribution_perms(n) == joint
 
 
+def test_generator_matches_the_exhaustive_filter():
+    # the generating tree rests on first-entry deletion keeping 2-stack
+    # sortability; this n! sweep of the public predicate checks it outright
+    for n in range(0, 10):
+        sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
+        assert list(two_stack_sortable(n)) == sortable  # order included
+
+
 def test_brute_force_w_worker_count_does_not_matter():
     for n in (1, 2, 5, 6):
         assert brute_force_w(n, jobs=2) == brute_force_w(n, jobs=1)
@@ -222,17 +230,17 @@ def test_joint_distribution_domain_errors():
 
 
 def test_exhaustive_counters_respect_the_budget(monkeypatch):
-    def sweep_not_allowed(n, first):
+    def sweep_not_allowed(n, below, firsts):
         raise AssertionError(f"swept n={n} past the budget")
 
     with monkeypatch.context() as patch:
         patch.setattr("twostack.counting._two_sortable", sweep_not_allowed)
-        for call in (brute_force_w, joint_distribution_perms):
+        for call in (brute_force_w, joint_distribution_perms, two_stack_sortable):
             with pytest.raises(ValueError, match="limited to n <= 11"):
                 call(MAX_EXHAUSTIVE_N + 1)
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 4)
     assert brute_force_w(4).total() == 22
     assert sum(joint_distribution_perms(4).values()) == 22
-    for call in (brute_force_w, joint_distribution_perms):
+    for call in (brute_force_w, joint_distribution_perms, two_stack_sortable):
         with pytest.raises(ValueError, match="limited to n <= 4"):
             call(5)

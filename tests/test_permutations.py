@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twostack.permutations import (
     as_permutation,
@@ -37,16 +37,10 @@ def stack_sort_by_splitting(p):
 
 
 def contains_by_combinations(p, q):
-    """Independent oracle: test every index subset for order isomorphism."""
-    k = len(q)
-    for idx in combinations(range(len(p)), k):
-        if all(
-            (p[idx[a]] < p[idx[b]]) == (q[a] < q[b])
-            for a in range(k)
-            for b in range(a + 1, k)
-        ):
-            return True
-    return False
+    """Independent oracle: some subsequence of q's length, read in the order
+    of q's values, comes out ascending."""
+    order = sorted(range(len(q)), key=q.__getitem__)
+    return any(sorted(sub) == [sub[i] for i in order] for sub in combinations(p, len(q)))
 
 
 # ---------------------------------------------------------------- parsing
@@ -182,11 +176,44 @@ def test_contains_pattern_longer_than_perm():
     assert not contains_pattern((1,), (1, 2))
 
 
+def test_contains_pattern_takes_patterns_longer_than_the_recursion_limit():
+    evens_then_odds = tuple(range(2, 1201, 2)) + tuple(range(1, 1200, 2))
+    assert contains_pattern(evens_then_odds, evens_then_odds)
+    assert not contains_pattern(evens_then_odds, evens_then_odds[::-1])
+    assert contains_pattern(identity(1500), identity(1200))
+
+
 @pytest.mark.parametrize("q", [(1,), (2, 1), (2, 3, 1), (1, 3, 2, 4)])
 def test_contains_pattern_matches_combinations_oracle(q):
     for n in range(1, 7):
         for p in permutations(range(1, n + 1)):
             assert contains_pattern(p, q) == contains_by_combinations(p, q)
+
+
+def layered(n, cuts):
+    """The direct sum of decreasing blocks of 1..n, split at ``cuts``."""
+    ends = [0, *sorted(cuts), n]
+    return tuple(v for a, b in zip(ends, ends[1:]) for v in range(b, a, -1))
+
+
+def shaped(lengths):
+    """Permutations of 1..n, n drawn from ``lengths``: random, layered or reverse
+    layered (the identity and the decreasing one are both layered), so that
+    long inputs avoid many patterns."""
+
+    def of_length(n):
+        layers = st.sets(st.integers(1, n)).map(lambda cuts: layered(n, cuts))
+        return st.permutations(identity(n)).map(tuple) | layers | layers.map(lambda p: p[::-1])
+
+    return lengths.flatmap(of_length)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped(st.integers(9, 40)), shaped(st.integers(1, 5)))
+@example(identity(40), identity(5)[::-1])  # the longest search with no match
+@example(identity(40), identity(5))
+def test_contains_pattern_matches_combinations_oracle_on_long_inputs(p, q):
+    assert contains_pattern(p, q) == contains_by_combinations(p, q)
 
 
 def test_one_pass_sortable_iff_avoids_231_exhaustive():

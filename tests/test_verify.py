@@ -67,6 +67,9 @@ def test_default_bound_is_used_when_omitted():
         ("lemma1", 12, "exhaustive counts are limited to n <= 11"),
         ("total", 20, "exhaustive counts are limited to n <= 11"),
         ("tree-vs-perm", 48, "trees are limited to 48 nodes, got 49"),
+        ("symmetry", 501, "formula suites are limited to max_n <= 500, got 501"),
+        ("unimodality", 100_000, "formula suites are limited to max_n <= 500, got 100000"),
+        ("map-substitution", 501, "formula suites are limited to max_n <= 500, got 501"),
     ],
 )
 def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, max_n, message):
@@ -82,7 +85,10 @@ def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, ma
 def test_budget_boundary_follows_the_constant(monkeypatch):
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 3)
     assert run_suite("total", 3).passed
-    assert run_suite("unimodality", 30).passed  # a formula suite has no budget
+    monkeypatch.setattr("twostack.verify.MAX_FORMULA_N", 30)
+    assert run_suite("unimodality", 30).passed
+    with pytest.raises(ValueError, match="limited to max_n <= 30, got 31"):
+        run_suite("unimodality", 31)
     with pytest.raises(ValueError, match="limited to n <= 3"):
         run_suite("total", 4)
     monkeypatch.setattr("twostack.trees.MAX_NODES", 6)
