@@ -185,6 +185,7 @@ def _cmd_table(args) -> int:
 def _cmd_enumerate_perms(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
+    counting.check_exhaustive(args.n)  # without --filter, all n! permutations are scanned
     input_obj = {"what": "perms", "n": args.n, "runs": args.runs, "filter": args.filter}
     if args.filter == "2ss":
         perms = counting.two_stack_sortable(args.n)

@@ -18,11 +18,12 @@ from typing import Iterator, NamedTuple
 from . import trees
 from .permutations import descent_count, identity, rl_maxima, stack_sort
 
-#: The largest n that the exhaustive counters accept: :func:`two_stack_sortable`
-#: holds the sortable (n-1)-permutations and tests n candidates for each, and
-#: ``twostack count trees --method enum`` lists the trees on n+1 nodes.  At
-#: n = 11 the first takes 17 s and 54 MB (2-core VM, Python 3.11), the second
-#: minutes, and every step up multiplies the work by about 7.
+#: The largest n that the exhaustive counters accept.  At n = 11 (2-core VM,
+#: Python 3.11), :func:`two_stack_sortable`, which holds the sortable
+#: (n-1)-permutations and tests n candidates for each, takes 17 s and 54 MB;
+#: ``twostack enumerate perms`` without ``--filter`` scans all n! permutations
+#: in 45 s; ``twostack count trees --method enum`` lists the trees on n+1 nodes
+#: in minutes.  Each step up multiplies the work by about 7 (n+1 for the scan).
 MAX_EXHAUSTIVE_N = 11
 
 
@@ -30,6 +31,19 @@ def check_exhaustive(n: int) -> None:
     """Raise ValueError if ``n`` is past the exhaustive counters' budget."""
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive counts are limited to n <= {MAX_EXHAUSTIVE_N}, got {n}")
+
+
+#: The largest n that the closed-form counters accept (f+pv-1 for
+#: :func:`planar_map_count`, the n it stands for).  Past it the results
+#: outgrow the 4300 digits Python prints by default: the totals first do at
+#: n = 5197, the middle W(n, k) at n = 5199, Catalan numbers at n = 7153.
+MAX_COUNT_N = 5000
+
+
+def check_count(n: int, name: str = "n") -> None:
+    """Raise ValueError if ``n`` is past the closed-form counters' budget."""
+    if n > MAX_COUNT_N:
+        raise ValueError(f"closed-form counts are limited to {name} <= {MAX_COUNT_N}, got {n}")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -54,6 +68,7 @@ def w_formula(n: int, k: int) -> int:
     """
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    check_count(n)
     return _exact_div(comb(n + k - 1, 2 * k - 1) * comb(2 * n - k, k - 1), k * (n + 1 - k))
 
 
@@ -66,6 +81,7 @@ def w_total(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_count(n)
     return _exact_div(2 * comb(3 * n, n), (n + 1) * (2 * n + 1))
 
 
@@ -87,6 +103,7 @@ def planar_map_count(f: int, pv: int) -> int:
     """
     if f < 1 or pv < 1:
         raise ValueError(f"need f >= 1 and pv >= 1, got f={f}, pv={pv}")
+    check_count(f + pv - 1, "f+pv-1")
     num = comb(2 * f + pv - 2, 2 * f - 1) * comb(2 * pv + f - 2, 2 * pv - 1)
     return _exact_div(num, f * pv)
 
@@ -101,6 +118,7 @@ def catalan(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    check_count(n)
     return _exact_div(comb(2 * n, n), n + 1)
 
 
@@ -125,10 +143,20 @@ class CountTable(NamedTuple):
 
 
 def w_table(n: int) -> CountTable:
-    """The full formula row W(n, 1..n) as a :class:`CountTable`."""
+    """
+    The full formula row W(n, 1..n) as a :class:`CountTable`, by exact term
+    ratio from W(n,1) = 1 (:func:`w_formula` is its closed-form oracle):
+
+        W(n,k+1) = W(n,k) (n+k)(n+1-k)(2n-2k+1)(2n-2k) / ((2n-k)(k+1)(2k)(2k+1))
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return CountTable(n, {k: w_formula(n, k) for k in range(1, n + 1)})
+    check_count(n)
+    row = {1: 1}
+    for k in range(1, n):
+        num = (n + k) * (n + 1 - k) * (2 * n - 2 * k + 1) * (2 * n - 2 * k)
+        row[k + 1] = _exact_div(row[k] * num, (2 * n - k) * (k + 1) * (2 * k) * (2 * k + 1))
+    return CountTable(n, row)
 
 
 def _two_sortable(n, below, firsts):

@@ -7,7 +7,7 @@ bijectivity between sortable type-1 n-permutations and marked sortable
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twostack.permutations import (
     MarkedPermutation,
@@ -20,7 +20,7 @@ from twostack.permutations import (
 )
 
 
-def marked_perms(max_n=25):
+def marked_perms(max_n=25, min_n=1):
     """Random marked permutations: any permutation plus a legal mark rank."""
 
     def with_mark(p):
@@ -28,7 +28,7 @@ def marked_perms(max_n=25):
         return st.integers(1, len(rl_maxima(p))).map(lambda r: MarkedPermutation(p, r))
 
     return (
-        st.integers(1, max_n)
+        st.integers(min_n, max_n)
         .flatmap(lambda n: st.permutations(list(range(1, n + 1))))
         .flatmap(with_mark)
     )
@@ -121,3 +121,12 @@ def test_reduce_preserves_sortability_exhaustive():
 @given(marked_perms())
 def test_reduce_inverts_restore_random(marked):
     assert reduce_type1(restore_type1(marked)) == marked
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_perms(max_n=200, min_n=9))
+def test_round_trips_on_long_marked_permutations(marked):
+    grown = restore_type1(marked)
+    assert perm_type(grown) == 1
+    assert reduce_type1(grown) == marked
+    assert restore_type1(reduce_type1(grown)) == grown

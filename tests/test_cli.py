@@ -255,6 +255,8 @@ def test_tree_work_budget_exit_two(capsys, argv):
         (["verify", "--suite", "total", "--max-n", "20"], 20),
         (["verify", "--suite", "joint-rl", "--max-n", "12", "--format", "json"], 12),
         (["enumerate", "perms", "--n", "12", "--filter", "2ss"], 12),
+        (["enumerate", "perms", "--n", "12"], 12),
+        (["enumerate", "perms", "--n", "13", "--runs", "1", "--format", "json"], 13),
     ],
 )
 def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
@@ -262,6 +264,7 @@ def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
         raise AssertionError("worked past the budget")
 
     monkeypatch.setattr("twostack.counting._two_sortable", not_allowed)
+    monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
     monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
     monkeypatch.setattr("twostack.trees._forest_row", not_allowed)
     code, out, err = run(capsys, *argv)
@@ -277,6 +280,42 @@ def test_exhaustive_budget_boundary(capsys, monkeypatch):
                              (["total", "--method", "brute"], "22\n")):
         assert run(capsys, "count", *target, "--n", "4") == (0, at_limit, "")
         assert run(capsys, "count", *target, "--n", "5") == (2, "", limited)
+    code, out, _ = run(capsys, "enumerate", "perms", "--n", "4", "--runs", "4")
+    assert (code, out) == (0, "4 3 2 1\n")
+    assert run(capsys, "enumerate", "perms", "--n", "5", "--runs", "5") == (2, "", limited)
+
+
+@pytest.mark.parametrize(
+    "argv, limited",
+    [
+        (["count", "catalan", "--n", "1000000"], "n <= 5000, got 1000000"),
+        (["count", "total", "--n", "3000000"], "n <= 5000, got 3000000"),
+        (["count", "w", "--n", "5000000", "--k", "2500000"], "n <= 5000, got 5000000"),
+        (["count", "maps", "--f", "2501", "--pv", "2501"], "f+pv-1 <= 5000, got 5001"),
+        (["table", "--n", "100000"], "n <= 5000, got 100000"),
+        (["table", "--n", "5300", "--format", "csv"], "n <= 5000, got 5300"),
+    ],
+)
+def test_count_budget_exit_two(capsys, monkeypatch, argv, limited):
+    def not_allowed(*args):
+        raise AssertionError("worked past the budget")
+
+    monkeypatch.setattr("twostack.counting._exact_div", not_allowed)
+    monkeypatch.setattr("twostack.counting.comb", not_allowed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: closed-form counts are limited to {limited}\n"
+
+
+def test_count_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr("twostack.counting.MAX_COUNT_N", 6)
+    for argv, name in (("count w --k 3 --n {}", "n"), ("count total --n {}", "n"),
+                       ("count catalan --n {}", "n"), ("count maps --f 1 --pv {}", "f+pv-1"),
+                       ("table --n {}", "n")):
+        code, out, err = run(capsys, *argv.format(6).split())
+        assert (code, err) == (0, "") and out
+        limited = f"error: closed-form counts are limited to {name} <= 6, got 7\n"
+        assert run(capsys, *argv.format(7).split()) == (2, "", limited)
 
 
 @pytest.mark.parametrize("suite", ["symmetry", "unimodality", "map-substitution"])
@@ -285,6 +324,7 @@ def test_formula_budget_exit_two(capsys, monkeypatch, suite):
         raise AssertionError("worked past the budget")
 
     monkeypatch.setattr("twostack.counting.w_formula", formula_not_allowed)
+    monkeypatch.setattr("twostack.counting.w_table", formula_not_allowed)
     monkeypatch.setattr("twostack.counting.planar_map_count", formula_not_allowed)
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "100000")
     assert (code, out) == (2, "")

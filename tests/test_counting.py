@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from twostack.counting import (
+    MAX_COUNT_N,
     MAX_EXHAUSTIVE_N,
     CountTable,
     brute_force_w,
@@ -181,6 +182,20 @@ def test_w_table_matches_formula():
     assert table.total() == w_total(5)
 
 
+def test_w_table_rows_match_the_closed_form():
+    # the term-ratio row against the binomial products of w_formula
+    for n in range(1, 300):
+        assert w_table(n).row == {k: w_formula(n, k) for k in range(1, n + 1)}
+
+
+def test_w_table_matches_factorial_quotients_at_cli_sizes():
+    for n in (400, 800, 1200):
+        row = w_table(n).row
+        assert len(row) == n
+        for k in (1, n // 2, n // 2 + 1, n):
+            assert row[k] == _w_oracle(n, k)
+
+
 def test_w_table_rejects_nonpositive_n():
     for n in (0, -3):
         with pytest.raises(ValueError):
@@ -244,3 +259,19 @@ def test_exhaustive_counters_respect_the_budget(monkeypatch):
     for call in (brute_force_w, joint_distribution_perms, two_stack_sortable):
         with pytest.raises(ValueError, match="limited to n <= 4"):
             call(5)
+
+
+def test_closed_forms_respect_the_budget(monkeypatch):
+    n = MAX_COUNT_N + 1
+    for call in (lambda: w_formula(n, 1), lambda: w_total(n), lambda: catalan(n),
+                 lambda: w_table(n), lambda: planar_map_count(n - 1, 2)):
+        with pytest.raises(ValueError, match=f"limited to .* <= {MAX_COUNT_N}, got {n}"):
+            call()
+    monkeypatch.setattr("twostack.counting.MAX_COUNT_N", 6)
+    assert (w_formula(6, 3), w_total(6), catalan(6)) == (_w_oracle(6, 3), 408, 132)
+    assert planar_map_count(3, 4) == w_formula(6, 3)
+    assert w_table(6).total() == 408
+    for call in (lambda: w_formula(7, 1), lambda: w_total(7), lambda: catalan(7),
+                 lambda: w_table(7), lambda: planar_map_count(4, 4)):
+        with pytest.raises(ValueError, match="limited to .* <= 6, got 7"):
+            call()

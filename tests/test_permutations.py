@@ -36,6 +36,24 @@ def stack_sort_by_splitting(p):
     return stack_sort_by_splitting(p[:i]) + stack_sort_by_splitting(p[i + 1 :]) + (p[i],)
 
 
+def layered(n, cuts):
+    """The direct sum of decreasing blocks of 1..n, split at ``cuts``."""
+    ends = [0, *sorted(cuts), n]
+    return tuple(v for a, b in zip(ends, ends[1:]) for v in range(b, a, -1))
+
+
+def shaped(lengths):
+    """Permutations of 1..n, n drawn from ``lengths``: random, layered or reverse
+    layered (the identity and the decreasing one are both layered), so that
+    long inputs avoid many patterns."""
+
+    def of_length(n):
+        layers = st.sets(st.integers(1, n)).map(lambda cuts: layered(n, cuts))
+        return st.permutations(identity(n)).map(tuple) | layers | layers.map(lambda p: p[::-1])
+
+    return lengths.flatmap(of_length)
+
+
 def contains_by_combinations(p, q):
     """Independent oracle: some subsequence of q's length, read in the order
     of q's values, comes out ascending."""
@@ -97,6 +115,14 @@ def test_stack_sort_frozen_examples():
 def test_stack_sort_matches_recursive_splitting_rule(n):
     for p in permutations(range(1, n + 1)):
         assert stack_sort(p) == stack_sort_by_splitting(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped(st.integers(9, 300)))
+@example(identity(300))  # the deepest splitting: L n R with R empty at every level
+@example(identity(300)[::-1])
+def test_stack_sort_matches_recursive_splitting_rule_on_long_inputs(p):
+    assert stack_sort(p) == stack_sort_by_splitting(p)
 
 
 def test_stack_sort_last_entry_is_n_exhaustive():
@@ -188,24 +214,6 @@ def test_contains_pattern_matches_combinations_oracle(q):
     for n in range(1, 7):
         for p in permutations(range(1, n + 1)):
             assert contains_pattern(p, q) == contains_by_combinations(p, q)
-
-
-def layered(n, cuts):
-    """The direct sum of decreasing blocks of 1..n, split at ``cuts``."""
-    ends = [0, *sorted(cuts), n]
-    return tuple(v for a, b in zip(ends, ends[1:]) for v in range(b, a, -1))
-
-
-def shaped(lengths):
-    """Permutations of 1..n, n drawn from ``lengths``: random, layered or reverse
-    layered (the identity and the decreasing one are both layered), so that
-    long inputs avoid many patterns."""
-
-    def of_length(n):
-        layers = st.sets(st.integers(1, n)).map(lambda cuts: layered(n, cuts))
-        return st.permutations(identity(n)).map(tuple) | layers | layers.map(lambda p: p[::-1])
-
-    return lengths.flatmap(of_length)
 
 
 @settings(max_examples=80, deadline=None)
