@@ -126,6 +126,7 @@ def _cmd_finv(args) -> int:
 
 
 def _count_w_brute(args) -> int:
+    counting.check_exhaustive(args.n)
     counting.w_formula(args.n, args.k)  # range check up front
     return counting.brute_force_w(args.n, args.jobs).row.get(args.k, 0)
 

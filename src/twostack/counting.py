@@ -11,6 +11,7 @@ results do not depend on the number of workers.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from math import comb
 from typing import Iterator, NamedTuple
@@ -18,9 +19,11 @@ from typing import Iterator, NamedTuple
 from . import trees
 from .permutations import descent_count, identity, rl_maxima, stack_sort
 
-#: The largest n that the exhaustive counters accept.  At n = 11 (2-core VM,
-#: Python 3.11), :func:`two_stack_sortable`, which holds the sortable
-#: (n-1)-permutations and tests n candidates for each, takes 17 s and 54 MB;
+#: The largest n that the exhaustive counters accept.  Levels below it are
+#: kept once built (:func:`two_stack_sortable`); after n = 10 they hold 39 MB
+#: and the process 55 MB.  At n = 11 (2-core VM, Python 3.11) the top level is
+#: streamed from the kept levels, n candidates for each sortable
+#: (n-1)-permutation: 14 s, with the process at 55 MB (54 MB with no table);
 #: ``twostack enumerate perms`` without ``--filter`` scans all n! permutations
 #: in 45 s; ``twostack count trees --method enum`` lists the trees on n+1 nodes
 #: in minutes.  Each step up multiplies the work by about 7 (n+1 for the scan).
@@ -177,6 +180,21 @@ def _two_sortable(n, below, firsts):
                 yield p
 
 
+# _levels[m] holds every 2-stack sortable m-permutation in lexicographic
+# order, built from _levels[m - 1].  Like trees._forests, the table is shared
+# by the whole process and only grows, but two_stack_sortable asks it for no
+# level at or past MAX_EXHAUSTIVE_N.
+_levels: list[tuple] = [((),)]
+_levels_lock = threading.Lock()
+
+
+def _level(m: int) -> tuple:
+    with _levels_lock:
+        for size in range(len(_levels), m + 1):
+            _levels.append(tuple(_two_sortable(size, _levels[-1], range(1, size + 1))))
+    return _levels[m]
+
+
 def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     """
     Every 2-stack sortable n-permutation in lexicographic order; n = 0
@@ -184,8 +202,11 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
 
     Deleting the first entry keeps 2-stack sortability (in West's 2341 and
     3-5-241 with the 5 barred, the first entry is never the barred 5), so
-    level n is streamed from the levels below, built as lists: each first
-    entry v in front of each sortable (n-1)-permutation raised by 1 at >= v.
+    level n is grown from level n-1: each first entry v in front of each
+    sortable (n-1)-permutation raised by 1 at >= v.  Levels below the
+    budget are built once per process and kept as tuples; the level at the
+    budget is streamed from the kept one below it, so the table never
+    holds more than n = 11 needs: 39 MB, nearly all of it level 10.
 
     >>> list(two_stack_sortable(0))
     [()]
@@ -195,10 +216,9 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     check_exhaustive(n)
-    level = [()]
-    for m in range(1, n):
-        level = list(_two_sortable(m, level, range(1, m + 1)))
-    return _two_sortable(n, level, range(1, n + 1)) if n else iter(level)
+    if n < MAX_EXHAUSTIVE_N:
+        return iter(_level(n))
+    return _two_sortable(n, _level(n - 1), range(1, n + 1))
 
 
 def _tally_runs(n, below, firsts):
@@ -209,9 +229,9 @@ def _tally_runs(n, below, firsts):
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
     Count 2-stack sortable n-permutations by runs, over the exhaustive
-    stream of :func:`two_stack_sortable`.  ``jobs`` > 1 builds the sortable
-    (n-1)-permutations once and divides the first entries among worker
-    processes; the merged result is identical for any job count.
+    stream of :func:`two_stack_sortable`.  ``jobs`` > 1 hands the kept
+    sortable (n-1)-permutations to worker processes, which divide the first
+    entries; the merged result is identical for any job count.
 
     Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
     """
@@ -222,7 +242,7 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     if workers > 1:
         import multiprocessing  # here only: it adds about 8 ms to every CLI start
 
-        below = list(two_stack_sortable(n - 1))
+        below = _level(n - 1)
         parts = [(n, below, range(w + 1, n + 1, workers)) for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             row = sum(pool.starmap(_tally_runs, parts), Counter())

@@ -257,6 +257,8 @@ def test_tree_work_budget_exit_two(capsys, argv):
         (["enumerate", "perms", "--n", "12", "--filter", "2ss"], 12),
         (["enumerate", "perms", "--n", "12"], 12),
         (["enumerate", "perms", "--n", "13", "--runs", "1", "--format", "json"], 13),
+        # past the closed-form budget too: the exhaustive one is named
+        (["count", "w", "--n", "5001", "--k", "3", "--method", "brute"], 5001),
     ],
 )
 def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):

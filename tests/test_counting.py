@@ -1,10 +1,12 @@
 import json
+import threading
 from collections import Counter
 from itertools import permutations
 from math import factorial
 
 import pytest
 
+from twostack import counting
 from twostack.counting import (
     MAX_COUNT_N,
     MAX_EXHAUSTIVE_N,
@@ -158,12 +160,86 @@ def test_sweeps_match_the_public_predicate():
         assert joint_distribution_perms(n) == joint
 
 
-def test_generator_matches_the_exhaustive_filter():
+def _fresh_levels(monkeypatch):
+    levels = [((),)]
+    monkeypatch.setattr("twostack.counting._levels", levels)
+    return levels
+
+
+def _not_allowed(n, below, firsts):
+    raise AssertionError(f"built level {n} again")
+
+
+def test_generator_matches_the_exhaustive_filter(monkeypatch):
     # the generating tree rests on first-entry deletion keeping 2-stack
-    # sortability; this n! sweep of the public predicate checks it outright
+    # sortability; this n! sweep of the public predicate checks it outright,
+    # against the level streamed at the budget, built fresh, and kept
     for n in range(0, 10):
         sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
-        assert list(two_stack_sortable(n)) == sortable  # order included
+        levels = _fresh_levels(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", max(n, 1))
+            assert list(two_stack_sortable(n)) == sortable  # order included
+        assert len(levels) == max(n, 1)
+        assert list(two_stack_sortable(n)) == sortable
+        assert len(levels) == n + 1
+        with monkeypatch.context() as patch:
+            patch.setattr("twostack.counting._two_sortable", _not_allowed)
+            assert list(two_stack_sortable(n)) == sortable
+
+
+def test_levels_are_built_once_per_process(monkeypatch):
+    _fresh_levels(monkeypatch)
+    first = brute_force_w(8)
+    joint = joint_distribution_perms(8)
+    monkeypatch.setattr("twostack.counting._two_sortable", _not_allowed)
+    assert brute_force_w(8) == first
+    assert joint_distribution_perms(8) == joint
+    assert sum(1 for _ in two_stack_sortable(7)) == TOTALS[6]
+
+
+def test_level_at_the_budget_is_streamed_not_kept(monkeypatch):
+    levels = _fresh_levels(monkeypatch)
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 6)
+    assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
+    assert brute_force_w(6).total() == TOTALS[5]
+    assert [len(level) for level in levels] == [1, *TOTALS[:5]]  # levels 0..5
+
+
+def test_kept_levels_are_tuples(monkeypatch):
+    levels = _fresh_levels(monkeypatch)
+    brute_force_w(6)
+    assert len(levels) == 7
+    assert all(type(level) is tuple for level in levels)
+    assert all(type(p) is tuple for level in levels for p in level)
+
+
+def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
+    levels = _fresh_levels(monkeypatch)
+    built = []
+    sortable_step = counting._two_sortable
+
+    def counted(n, below, firsts):
+        built.append(n)
+        yield from sortable_step(n, below, firsts)
+
+    monkeypatch.setattr("twostack.counting._two_sortable", counted)
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def ask(slot):
+        start.wait()
+        results[slot] = list(two_stack_sortable(8))
+
+    workers = [threading.Thread(target=ask, args=(slot,)) for slot in (0, 1)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    assert results[0] == results[1]
+    assert len(results[0]) == TOTALS[7]
+    assert sorted(built) == list(range(1, 9))
+    assert [len(level) for level in levels] == [1, *TOTALS[:8]]
 
 
 def test_brute_force_w_worker_count_does_not_matter():
