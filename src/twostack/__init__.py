@@ -39,7 +39,6 @@ from .trees import (
     format_tree,
     is_valid_tree,
     leaf_count,
-    node_count,
     parse_tree,
     tree_from_json,
     tree_to_json,
@@ -72,7 +71,6 @@ __all__ = [
     "joint_distribution_perms",
     "joint_distribution_trees",
     "leaf_count",
-    "node_count",
     "parse_permutation",
     "parse_tree",
     "perm_type",

@@ -203,7 +203,10 @@ def _cmd_enumerate_perms(args) -> int:
 def _cmd_enumerate_trees(args) -> int:
     input_obj = {"what": "trees", "nodes": args.nodes, "leaves": args.leaves}
     for tree in trees.enumerate_trees(args.nodes, args.leaves):
-        _emit(args, "enumerate", input_obj, trees.tree_to_json(tree), [trees.format_tree(tree)])
+        if args.format == "json":
+            _emit(args, "enumerate", input_obj, trees.tree_to_json(tree), [])
+        else:
+            _emit(args, "enumerate", input_obj, None, [trees.format_tree(tree)])
     return 0
 
 

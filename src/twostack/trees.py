@@ -16,7 +16,7 @@ e.g. ``(3 (3 (2 (1) (1)) (1 (1))))``; JSON encodes each node as
 ``{"label": ..., "children": [...]}``.
 
 Counting and enumeration are limited to trees on at most
-:data:`MAX_NODES` nodes.
+:data:`MAX_NODES` nodes; nesting depth is not limited.
 """
 
 from __future__ import annotations
@@ -33,55 +33,77 @@ Tree = tuple  # (label, *children), recursively
 MAX_NODES = 48
 
 
-def _check_shape(tree) -> None:
-    if not isinstance(tree, tuple) or len(tree) < 1 or isinstance(tree[0], tuple):
-        raise ValueError(f"malformed tree node: {tree!r}")
-    if tree[0] is True or tree[0] is False or not isinstance(tree[0], int):
-        raise ValueError(f"node label must be an integer: {tree[0]!r}")
-    for child in tree[1:]:
-        _check_shape(child)
-
-
-def node_count(tree: Tree) -> int:
-    return 1 + sum(node_count(child) for child in tree[1:])
+def _fold(tree: Tree, combine):
+    """``combine(label, the children's results)`` bottom-up; a leaf takes no stack entry."""
+    stack = [(None, iter((tree,)), [])]  # label, children left, results; root alone first
+    while True:
+        label, rest, done = stack[-1]
+        for child in rest:
+            if len(child) == 1:
+                done.append(combine(child[0], []))
+            else:
+                stack.append((child[0], iter(child[1:]), []))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return done[0]
+            stack[-1][2].append(combine(label, done))
 
 
 def leaf_count(tree: Tree) -> int:
-    if len(tree) == 1:
-        return 1
-    return sum(leaf_count(child) for child in tree[1:])
+    # not _fold, whose call per leaf costs the leaf filter of enumerate_trees
+    leaves, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if len(node) == 1:
+            leaves += 1
+        else:
+            stack.extend(node[1:])
+    return leaves
+
+
+def _label(node) -> int:
+    """The label of a well-formed node; ValueError for anything else."""
+    if not isinstance(node, tuple) or not node or isinstance(node[0], tuple):
+        raise ValueError(f"malformed tree node: {node!r}")
+    if node[0] is True or node[0] is False or not isinstance(node[0], int):
+        raise ValueError(f"node label must be an integer: {node[0]!r}")
+    return node[0]
 
 
 def tree_violations(tree: Tree) -> list[str]:
     """
     Every labeling constraint the candidate tree breaks, each tagged with
     the offending node's child-index path ("root", "root.0", "root.0.1",
-    ...).  An empty list means the tree is valid.  The tree must be
-    structurally well formed (nested tuples, integer labels); violations
-    cover the label rules only.
+    ...), in preorder.  An empty list means the tree is valid.  The tree
+    must be structurally well formed (nested tuples, integer labels);
+    violations cover the label rules only.
     """
-    _check_shape(tree)
+    _label(tree)
     violations: list[str] = []
-
-    def walk(node: Tree, path: str, is_root: bool) -> None:
-        label, children = node[0], node[1:]
-        if label < 1:
-            violations.append(f"{path}: label {label} is not positive")
-        if not children:
-            if is_root:
-                violations.append(f"{path}: root has no children")
+    route: list = []  # "root", then the child indices down to the node on hand
+    stack = [(tree, 0, "root")]  # node, depth, its step on the route
+    while stack:
+        node, depth, step = stack.pop()
+        route[depth:] = (step,)
+        label = node[0]
+        problems = [f"label {label} is not positive"] if label < 1 else []
+        if len(node) == 1:
+            if not depth:
+                problems.append("root has no children")
             elif label != 1:
-                violations.append(f"{path}: leaf label {label} != 1")
-            return
-        total = sum(child[0] for child in children)
-        if is_root and label != total:
-            violations.append(f"{path}: root label {label} != children sum {total}")
-        elif not is_root and label > total:
-            violations.append(f"{path}: label {label} > children sum {total}")
-        for i, child in enumerate(children):
-            walk(child, f"{path}.{i}", False)
-
-    walk(tree, "root", True)
+                problems.append(f"leaf label {label} != 1")
+        else:
+            total = sum(map(_label, node[1:]))
+            if not depth and label != total:
+                problems.append(f"root label {label} != children sum {total}")
+            elif depth and label > total:
+                problems.append(f"label {label} > children sum {total}")
+            stack.extend([(node[i], depth + 1, i - 1) for i in range(len(node) - 1, 0, -1)])
+        if problems:
+            path = ".".join(map(str, route))
+            violations.extend([f"{path}: {problem}" for problem in problems])
     return violations
 
 
@@ -280,15 +302,14 @@ def count_trees(n: int, k: int) -> int:
 
 def format_tree(tree: Tree) -> str:
     """Render a tree as an s-expression, e.g. ``(2 (1) (1))``."""
-    inner = " ".join([str(tree[0])] + [format_tree(c) for c in tree[1:]])
-    return f"({inner})"
+    return _fold(tree, lambda label, parts: f"({' '.join([str(label), *parts])})")
 
 
 def parse_tree(text: str) -> Tree:
     """
     Parse the s-expression form of a labeled tree.  The label rules are
     not checked here, so invalid candidates can be parsed and then fed to
-    :func:`tree_violations`.  Nesting depth is not limited.
+    :func:`tree_violations`.
 
     >>> parse_tree("(3 (3 (2 (1) (1)) (1 (1))))")
     (3, (3, (2, (1,), (1,)), (1, (1,))))
@@ -323,7 +344,7 @@ def parse_tree(text: str) -> Tree:
 
 def tree_to_json(tree: Tree) -> dict:
     """Encode as nested ``{"label": ..., "children": [...]}`` objects."""
-    return {"label": tree[0], "children": [tree_to_json(c) for c in tree[1:]]}
+    return _fold(tree, lambda label, children: {"label": label, "children": children})
 
 
 def tree_from_json(obj: dict) -> Tree:
@@ -332,13 +353,25 @@ def tree_from_json(obj: dict) -> Tree:
     but nested objects with an integer ``label`` and a list of
     ``children`` raises ValueError.
     """
-    # exact types, as json.loads builds them: a bool label is no integer
-    if type(obj) is not dict or "label" not in obj:
-        raise ValueError(f"tree node must be an object with a label: {obj!r}")
-    label = obj["label"]
-    if type(label) is not int:
-        raise ValueError(f"label must be an integer: {label!r}")
-    children = obj.get("children", [])
-    if type(children) is not list:
-        raise ValueError(f"children must be a list: {children!r}")
-    return (label, *[tree_from_json(c) for c in children])
+    open_nodes = [([], iter([obj]))]  # label, children so far, children left; root alone first
+    while True:
+        done, rest = open_nodes[-1]
+        for obj in rest:
+            # exact types, as json.loads builds them: a bool label is no integer
+            if type(obj) is not dict or "label" not in obj:
+                raise ValueError(f"tree node must be an object with a label: {obj!r}")
+            label = obj["label"]
+            if type(label) is not int:
+                raise ValueError(f"label must be an integer: {label!r}")
+            children = obj.get("children", [])
+            if type(children) is not list:
+                raise ValueError(f"children must be a list: {children!r}")
+            if children:
+                open_nodes.append(([label], iter(children)))
+                break
+            done.append((label,))
+        else:
+            open_nodes.pop()
+            if not open_nodes:
+                return done[0]
+            open_nodes[-1][0].append(tuple(done))

@@ -14,7 +14,6 @@ from twostack.trees import (
     format_tree,
     is_valid_tree,
     leaf_count,
-    node_count,
     parse_tree,
     tree_counts,
     tree_from_json,
@@ -30,6 +29,10 @@ SMALLEST = (1, (1,))
 
 
 # ------------------------------------------------------- oracle helpers
+
+
+def node_count(tree):
+    return format_tree(tree).count("(")
 
 
 def plane_shapes(m):
@@ -114,6 +117,85 @@ def materialised_and_sorted(nodes):
     return sorted((sum(kid[0] for kid in kids), *kids) for kids in forest(nodes - 1))
 
 
+# The recursive walkers the package once had, kept as oracles for the
+# explicit-stack ones.
+
+
+def recursive_check_shape(tree):
+    if not isinstance(tree, tuple) or len(tree) < 1 or isinstance(tree[0], tuple):
+        raise ValueError(f"malformed tree node: {tree!r}")
+    if tree[0] is True or tree[0] is False or not isinstance(tree[0], int):
+        raise ValueError(f"node label must be an integer: {tree[0]!r}")
+    for child in tree[1:]:
+        recursive_check_shape(child)
+
+
+def recursive_leaf_count(tree):
+    if len(tree) == 1:
+        return 1
+    return sum(recursive_leaf_count(child) for child in tree[1:])
+
+
+def recursive_tree_violations(tree):
+    recursive_check_shape(tree)
+    violations = []
+
+    def walk(node, path, is_root):
+        label, children = node[0], node[1:]
+        if label < 1:
+            violations.append(f"{path}: label {label} is not positive")
+        if not children:
+            if is_root:
+                violations.append(f"{path}: root has no children")
+            elif label != 1:
+                violations.append(f"{path}: leaf label {label} != 1")
+            return
+        total = sum(child[0] for child in children)
+        if is_root and label != total:
+            violations.append(f"{path}: root label {label} != children sum {total}")
+        elif not is_root and label > total:
+            violations.append(f"{path}: label {label} > children sum {total}")
+        for i, child in enumerate(children):
+            walk(child, f"{path}.{i}", False)
+
+    walk(tree, "root", True)
+    return violations
+
+
+def recursive_format_tree(tree):
+    inner = " ".join([str(tree[0])] + [recursive_format_tree(c) for c in tree[1:]])
+    return f"({inner})"
+
+
+def recursive_tree_to_json(tree):
+    return {"label": tree[0], "children": [recursive_tree_to_json(c) for c in tree[1:]]}
+
+
+def recursive_tree_from_json(obj):
+    if type(obj) is not dict or "label" not in obj:
+        raise ValueError(f"tree node must be an object with a label: {obj!r}")
+    label = obj["label"]
+    if type(label) is not int:
+        raise ValueError(f"label must be an integer: {label!r}")
+    children = obj.get("children", [])
+    if type(children) is not list:
+        raise ValueError(f"children must be a list: {children!r}")
+    return (label, *[recursive_tree_from_json(c) for c in children])
+
+
+def relabeled(tree, at, delta):
+    """The tree with the label of its node number ``at``, in preorder, moved by ``delta``."""
+    seen = 0
+
+    def rebuild(node):
+        nonlocal seen
+        seen += 1
+        label = node[0] + delta if seen - 1 == at else node[0]
+        return (label, *[rebuild(child) for child in node[1:]])
+
+    return rebuild(tree)
+
+
 any_tree = st.recursive(
     st.integers(-(10**20), 10**20).map(lambda label: (label,)),
     lambda kids: st.tuples(st.integers(-(10**20), 10**20), st.lists(kids, min_size=1, max_size=4))
@@ -165,6 +247,25 @@ def test_violation_paths_locate_the_node():
     assert "root.0.0" in paths  # the offending leaf
 
 
+def test_violations_come_in_preorder_with_their_paths():
+    assert tree_violations((0, (5, (2,), (1, (0,))), (1,))) == [
+        "root: label 0 is not positive",
+        "root: root label 0 != children sum 6",
+        "root.0: label 5 > children sum 3",
+        "root.0.0: leaf label 2 != 1",
+        "root.0.1: label 1 > children sum 0",
+        "root.0.1.0: label 0 is not positive",
+        "root.0.1.0: leaf label 0 != 1",
+    ]
+    assert tree_violations((3, (1,), (2, (1,), (-1,)), (1,), (4, (1,)))) == [
+        "root: root label 3 != children sum 8",
+        "root.1: label 2 > children sum 0",
+        "root.1.1: label -1 is not positive",
+        "root.1.1: leaf label -1 != 1",
+        "root.3: label 4 > children sum 1",
+    ]
+
+
 def test_malformed_shapes_raise():
     with pytest.raises(ValueError):
         tree_violations(("x", (1,)))
@@ -176,6 +277,10 @@ def test_malformed_shapes_raise():
         tree_violations((True, (1,)))
     with pytest.raises(ValueError):
         tree_violations((2, (1,), (True,)))
+    # children that a label sum would trip over
+    for child in (("x",), (), 5, [1], ((1,),)):
+        with pytest.raises(ValueError):
+            tree_violations((2, (1,), child))
 
 
 # ------------------------------------------------------------- accessors
@@ -365,6 +470,42 @@ def test_parse_tree_is_not_limited_by_nesting_depth():
         assert len(tree) == 2 and tree[0] == 1
         tree = tree[1]
     assert tree == (1,)
+
+
+def test_every_tree_function_takes_any_nesting_depth():
+    # compared through the text form: == on nested tuples itself recurses
+    depth = 3000
+    chain = parse_tree("(1 " * depth + ")" * depth)
+    text = "(1 " * (depth - 1) + "(1)" + ")" * (depth - 1)
+    assert format_tree(chain) == text
+    encoded = tree_to_json(chain)
+    node = encoded
+    for _ in range(depth - 1):
+        assert node["label"] == 1 and len(node["children"]) == 1
+        node = node["children"][0]
+    assert node == {"label": 1, "children": []}
+    assert format_tree(tree_from_json(encoded)) == text
+    assert tree_violations(chain) == [] and is_valid_tree(chain)
+    assert leaf_count(chain) == 1
+    zeros = parse_tree("(0 " * depth + ")" * depth)
+    assert tree_violations(zeros) == [
+        f"root{'.0' * d}: label 0 is not positive" for d in range(depth)
+    ] + [f"root{'.0' * (depth - 1)}: leaf label 0 != 1"]
+    assert not is_valid_tree(zeros)
+
+
+def test_walkers_match_the_recursive_oracles():
+    # every tree on at most 8 nodes, and a copy of each with one label moved
+    # up or down by 1, the node and the direction changing from tree to tree
+    for i, tree in enumerate(t for m in range(2, 9) for t in enumerate_trees(m)):
+        broken = relabeled(tree, i % node_count(tree), -1 if i % 2 else 1)
+        for candidate in (tree, broken):
+            assert tree_violations(candidate) == recursive_tree_violations(candidate)
+            assert format_tree(candidate) == recursive_format_tree(candidate)
+            assert tree_to_json(candidate) == recursive_tree_to_json(candidate)
+            encoded = recursive_tree_to_json(candidate)
+            assert tree_from_json(encoded) == recursive_tree_from_json(encoded) == candidate
+            assert leaf_count(candidate) == recursive_leaf_count(candidate)
 
 
 @given(any_tree)
