@@ -187,6 +187,8 @@ def _cmd_enumerate_perms(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     counting.check_exhaustive(args.n)  # without --filter, all n! permutations are scanned
+    if args.runs is not None and not 1 <= args.runs <= max(args.n, 1):
+        raise ValueError(f"--runs must be in 1..{max(args.n, 1)}, got {args.runs}")
     input_obj = {"what": "perms", "n": args.n, "runs": args.runs, "filter": args.filter}
     if args.filter == "2ss":
         perms = counting.two_stack_sortable(args.n)

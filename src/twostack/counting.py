@@ -237,6 +237,8 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     check_exhaustive(n)
     workers = min(jobs, n)
     if workers > 1:

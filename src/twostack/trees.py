@@ -52,15 +52,7 @@ def _fold(tree: Tree, combine):
 
 
 def leaf_count(tree: Tree) -> int:
-    # not _fold, whose call per leaf costs the leaf filter of enumerate_trees
-    leaves, stack = 0, [tree]
-    while stack:
-        node = stack.pop()
-        if len(node) == 1:
-            leaves += 1
-        else:
-            stack.extend(node[1:])
-    return leaves
+    return _fold(tree, lambda label, leaves: sum(leaves) or 1)
 
 
 def _label(node) -> int:
@@ -82,28 +74,25 @@ def tree_violations(tree: Tree) -> list[str]:
     """
     _label(tree)
     violations: list[str] = []
-    route: list = []  # "root", then the child indices down to the node on hand
-    stack = [(tree, 0, "root")]  # node, depth, its step on the route
+    stack = [(tree, "", "root")]  # node, its parent's path ("" for the root), its step
     while stack:
-        node, depth, step = stack.pop()
-        route[depth:] = (step,)
+        node, above, step = stack.pop()
         label = node[0]
-        problems = [f"label {label} is not positive"] if label < 1 else []
+        if len(node) == 1 and label == 1 and above:
+            continue  # a leaf that breaks no rule needs no path
+        path = f"{above}.{step}" if above else step
+        if label < 1:
+            violations.append(f"{path}: label {label} is not positive")
         if len(node) == 1:
-            if not depth:
-                problems.append("root has no children")
-            elif label != 1:
-                problems.append(f"leaf label {label} != 1")
+            problem = f"leaf label {label} != 1" if above else "root has no children"
+            violations.append(f"{path}: {problem}")
         else:
             total = sum(map(_label, node[1:]))
-            if not depth and label != total:
-                problems.append(f"root label {label} != children sum {total}")
-            elif depth and label > total:
-                problems.append(f"label {label} > children sum {total}")
-            stack.extend([(node[i], depth + 1, i - 1) for i in range(len(node) - 1, 0, -1)])
-        if problems:
-            path = ".".join(map(str, route))
-            violations.extend([f"{path}: {problem}" for problem in problems])
+            if not above and label != total:
+                violations.append(f"{path}: root label {label} != children sum {total}")
+            elif above and label > total:
+                violations.append(f"{path}: label {label} > children sum {total}")
+            stack.extend([(node[i], path, i - 1) for i in range(len(node) - 1, 0, -1)])
     return violations
 
 
@@ -131,7 +120,8 @@ def check_nodes(nodes: int) -> None:
 # padded in as a chain of 1s below any open non-root node, or below a root
 # that still has a deficit, and nowhere else.  Every branch entered thus
 # ends in a tree, and once the deficits use up every node left the rest of
-# the tree is forced.
+# the tree is forced: a leaf per node left, plus the open node on top if it
+# is a childless non-root 1, so a tree's leaf count is known before it is built.
 
 _LEAF = (1,)
 
@@ -149,19 +139,22 @@ def _complete(frames: list) -> Tree:
     return node
 
 
-def _canonical_trees(nodes: int) -> Iterator[Tree]:
+def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
     for root in range(1, nodes):
         # the open nodes, root first: label, children's label sum, children
         frames = [[root, 0, []]]
         root_frame = frames[0]
-        left, owed = nodes - 1, root  # nodes still to place; total deficit
+        left, owed, closed = nodes - 1, root, 0  # nodes to place; total deficit; closed leaves
         trail = []  # the tokens taken, each with what undoes it
         token = 0  # the next token to try: 0 closes, c > 0 opens a child labeled c
         while True:
+            top = frames[-1]
             if owed == left:
-                yield _complete(frames)
+                if leaves is None or leaves == closed + left + (
+                    top is not root_frame and top == [1, 0, []]
+                ):
+                    yield _complete(frames)
             else:
-                top = frames[-1]
                 label, total, kids = top
                 depth = len(frames) - 1
                 if token == 0:
@@ -173,6 +166,7 @@ def _canonical_trees(nodes: int) -> Iterator[Tree]:
                     ):
                         frames.pop()
                         frames[-1][2].append((label, *kids))
+                        closed += not kids
                         trail.append((0, top))
                         token = 0
                         continue
@@ -201,6 +195,7 @@ def _canonical_trees(nodes: int) -> Iterator[Tree]:
             if token == 0:
                 frames[-1][2].pop()
                 frames.append(undo)
+                closed -= not undo[2]
             else:
                 frames.pop()
                 frames[-1][1] -= token
@@ -220,16 +215,15 @@ def enumerate_trees(nodes: int, leaves: int | None = None) -> Iterator[Tree]:
 
     >>> [format_tree(t) for t in enumerate_trees(3)]
     ['(1 (1 (1)))', '(2 (1) (1))']
+    >>> [format_tree(t) for t in enumerate_trees(4, 2)]
+    ['(1 (1 (1) (1)))', '(2 (1) (1 (1)))', '(2 (1 (1)) (1))', '(2 (2 (1) (1)))']
     """
     if nodes < 2:
         raise ValueError("a valid tree needs at least a root and one leaf")
     if leaves is not None and not 1 <= leaves <= nodes - 1:
         raise ValueError(f"leaf count must be in 1..{nodes - 1}, got {leaves}")
     check_nodes(nodes)
-    found = _canonical_trees(nodes)
-    if leaves is None:
-        return found
-    return (tree for tree in found if leaf_count(tree) == leaves)
+    return _canonical_trees(nodes, leaves)
 
 
 # Counting.  A forest is a nonempty sequence of non-root subtrees; the

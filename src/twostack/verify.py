@@ -263,5 +263,7 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
     bound = default if max_n is None else max_n
     if bound < 1:
         raise ValueError(f"max_n must be >= 1, got {bound}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     check_size(bound)
     return SuiteReport(name, bound, suite(bound, jobs))

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,29 @@ def test_enumerate_perms_filters(capsys):
     assert run(capsys, "enumerate", "perms", "--n", "0", "--filter", "2ss") == (0, "\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, bound, runs",
+    [
+        (["enumerate", "perms", "--n", "10", "--runs", "0"], 10, 0),
+        (["enumerate", "perms", "--n", "10", "--filter", "2ss", "--runs", "11"], 10, 11),
+        (["enumerate", "perms", "--n", "0", "--runs", "2", "--format", "json"], 1, 2),
+    ],
+)
+def test_enumerate_perms_runs_out_of_range_exit_two(capsys, monkeypatch, argv, bound, runs):
+    def not_allowed(*args):
+        raise AssertionError("scanned for a run count no permutation has")
+
+    monkeypatch.setattr("twostack.counting.two_stack_sortable", not_allowed)
+    monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --runs must be in 1..{bound}, got {runs}\n"
+
+
+def test_enumerate_perms_runs_of_the_empty_permutation(capsys):
+    assert run(capsys, "enumerate", "perms", "--n", "0", "--runs", "1") == (0, "\n", "")
+
+
 def test_enumerate_trees_stream(capsys):
     code, out, _ = run(capsys, "enumerate", "trees", "--nodes", "4", "--leaves", "2")
     assert code == 0
@@ -333,6 +357,21 @@ def test_formula_budget_exit_two(capsys, monkeypatch, suite):
     assert err == "error: formula suites are limited to max_n <= 500, got 100000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, jobs",
+    [
+        (["count", "w", "--n", "4", "--k", "2", "--method", "brute", "--jobs", "0"], 0),
+        (["count", "total", "--n", "4", "--method", "brute", "--jobs", "0"], 0),
+        (["verify", "--suite", "catalan", "--jobs", "-3"], -3),
+    ],
+)
+def test_fewer_than_one_job_exit_two(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f">= 1, got {jobs}" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--max-n", "20")
     assert code == 0
@@ -424,6 +463,21 @@ def test_misplaced_input_exit_two(capsys, argv, named):
     # the usage line is the chosen command's or target's, not the top level's
     command = argv[:2] if argv[0] in ("count", "enumerate") else argv[:1]
     assert err.startswith(f"usage: twostack {' '.join(command)} ")
+
+
+def test_readme_commands_run(capsys):
+    # every twostack line of the README's command-line block, split from its comment
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("twostack ")]
+    commands = [line.partition("#")[::2] for line in lines]
+    assert len(commands) >= 19
+    for command, comment in commands:
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert code == 0 and out, command
+        # "-> X": X is the output, its lines joined by ", "
+        if "->" in comment:
+            assert ", ".join(out.splitlines()) == comment.split("->", 1)[1].strip(), command
 
 
 def test_json_envelope_is_schema_stable(capsys):

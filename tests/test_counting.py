@@ -248,6 +248,17 @@ def test_brute_force_w_worker_count_does_not_matter():
     assert brute_force_w(6, jobs=12) == brute_force_w(6)
 
 
+def test_brute_force_w_rejects_fewer_than_one_job(monkeypatch):
+    def not_allowed(*args):
+        raise AssertionError("worked with no job")
+
+    monkeypatch.setattr("twostack.counting._level", not_allowed)
+    monkeypatch.setattr("twostack.counting.two_stack_sortable", not_allowed)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"need jobs >= 1, got {jobs}"):
+            brute_force_w(5, jobs)
+
+
 # ------------------------------------------------------------ count tables
 
 

@@ -336,6 +336,16 @@ def test_enumerate_leaf_filter_partitions():
         assert sorted(by_k) == whole
 
 
+def test_leaf_restricted_stream_walks_no_finished_tree(monkeypatch):
+    def not_allowed(tree):
+        raise AssertionError("walked a finished tree to count its leaves")
+
+    monkeypatch.setattr("twostack.trees.leaf_count", not_allowed)
+    for m in range(2, 9):
+        for k in range(1, m):
+            assert sum(1 for _ in enumerate_trees(m, k)) == count_trees(m - 1, k)
+
+
 def test_single_leaf_tree_is_the_all_ones_path():
     for m in range(2, 9):
         only = list(enumerate_trees(m, 1))

@@ -44,6 +44,17 @@ def test_unknown_suite_rejected():
         run_suite("total", 0)
 
 
+def test_fewer_than_one_job_rejected_up_front(monkeypatch):
+    def suite_not_allowed(max_n, jobs):
+        raise AssertionError(f"suite started with jobs={jobs}")
+
+    _, default, check_size = verify._SUITES["catalan"]
+    monkeypatch.setitem(verify._SUITES, "catalan", (suite_not_allowed, default, check_size))
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_suite("catalan", None, jobs)
+
+
 def test_report_flags_failures():
     report = SuiteReport(
         "demo", 1, [Check("good", 1, 1), Check("bad", 1, 2)]
