@@ -213,7 +213,7 @@ def _cmd_enumerate_trees(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, args.max_n, args.jobs)
+    report = verify.run_suite(args.suite, args.max_n)
     if args.format == "json":
         checks = [
             {"label": c.label, "expected": str(c.expected), "actual": str(c.actual), "ok": c.ok}
@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
     p.add_argument("--max-n", type=int, default=None, help="override the suite's bound")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_verify, parser=p)
 
     return parser

@@ -5,28 +5,35 @@ brute-force counterparts, and joint statistic distributions.
 All counts are exact Python integers; every formula division is checked to
 be remainder-free, so a transcription slip raises instead of silently
 truncating.  Brute-force counters grow the sortable permutations one first
-entry at a time; tallies split by first entry merge by addition, so
-results do not depend on the number of workers.
+entry at a time, admitting only the first entries that West's
+characterisation allows, so no candidate is built and then rejected;
+tallies over slices of a level merge by addition, so results do not depend
+on the number of workers.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 from math import comb
 from typing import Iterator, NamedTuple
 
 from . import trees
-from .permutations import descent_count, identity, rl_maxima, stack_sort
+from .permutations import descent_count, rl_maxima
 
 #: The largest n that the exhaustive counters accept.  Levels below it are
 #: kept once built (:func:`two_stack_sortable`); after n = 10 they hold 39 MB
 #: and the process 55 MB.  At n = 11 (2-core VM, Python 3.11) the top level is
-#: streamed from the kept levels, n candidates for each sortable
-#: (n-1)-permutation: 14 s, with the process at 55 MB (54 MB with no table);
-#: ``twostack enumerate perms`` without ``--filter`` scans all n! permutations
-#: in 45 s; ``twostack count trees --method enum`` lists the trees on n+1 nodes
-#: in minutes.  Each step up multiplies the work by about 7 (n+1 for the scan).
+#: streamed from the kept levels, only the admitted first entries of each
+#: sortable (n-1)-permutation: a cold :func:`brute_force_w` takes about 7 s at
+#: 56 MB, and ``twostack enumerate perms --filter 2ss`` prints it in about
+#: 14 s; without ``--filter`` that command scans all n! permutations in 45 s;
+#: ``twostack count trees --method enum`` lists the trees on n+1 nodes in
+#: minutes.  Each step up multiplies the sortable ones by about 5.5 (n+1 for
+#: the scan).
 MAX_EXHAUSTIVE_N = 11
 
 
@@ -162,22 +169,64 @@ def w_table(n: int) -> CountTable:
     return CountTable(n, row)
 
 
-def _two_sortable(n, below, firsts):
+def _barred(q):
     """
-    Yield each 2-stack sortable v·q', for v in ``firsts`` and q in ``below``,
-    where q' is q with its entries >= v raised by 1, lexicographic if both ascend.
+    Bitmask of the first entries v (bit v) that break sortability in front
+    of the 2-stack sortable ``q``: v·q' is 2-stack sortable exactly when
+    bit v is clear, where q' is q with its entries >= v raised by 1.
+
+    By West, a permutation is 2-stack sortable iff it avoids 2341 and every
+    3241 in it extends to a 35241.  Such a pattern in v·q' that q' lacks
+    starts at v.  For each pair i < j with q_i < q_j, let m be the least
+    entry after j; when m < q_i, v in (m, q_i] makes a 2341, and when in
+    addition nothing before i exceeds q_j, v in (q_i, q_j] makes a 3241
+    with no 5.  Since m only grows with j, the pairs of one i exclude one
+    interval: (least m, q_i], or up to the greatest such q_j that exceeds
+    everything before i.
     """
-    # The two-pass test is inlined against one identity tuple: calling
-    # is_t_stack_sortable per candidate made brute_force_w(8) about 27%
-    # slower (183 -> 233 ms, one core of a 2-core VM, Python 3.11).
-    ident = identity(n)
-    for v in firsts:
+    low = [*accumulate(q[:0:-1], min)][::-1]  # low[j]: the least entry after position j
+    low.append(len(q) + 1)
+    mask = top = 0  # top: the greatest entry before position i
+    for i, a in enumerate(q):
+        end = bisect_left(low, a, i + 1)  # low only grows: from end on, no m < a
+        if end > i + 1:
+            peak = max(q[i + 1:end])
+            if peak > a:
+                j = i + 1
+                while q[j] < a:
+                    j += 1
+                mask |= (2 << (peak if peak > top else a)) - (2 << low[j])
+        top = max(top, a)
+    return mask
+
+
+def _two_sortable(n, below):
+    """
+    Yield each 2-stack sortable v·q', for v in 1..n and q in ``below``, where
+    q' is q with its entries >= v raised by 1; lexicographic if ``below`` is.
+    """
+    barred = array("H", map(_barred, below))  # a list of ints is 7 MB more at n = 11
+    for v in range(1, n + 1):
+        bit = 1 << v
         shift = tuple(x + (x >= v) for x in range(n))
-        for q in below:
-            p = (v, *[shift[x] for x in q])
-            once = stack_sort(p)
-            if once == ident or stack_sort(once) == ident:
-                yield p
+        for q, bad in zip(below, barred):
+            if not bad & bit:
+                yield (v, *[shift[x] for x in q])
+
+
+def _tally_runs(n, below):
+    """
+    Tally runs over the 2-stack sortable v·q' for q in ``below`` without
+    building them: runs(v·q') = runs(q) + 1 exactly when v > q_1.
+    """
+    row = Counter()
+    for q in below:
+        free = ((2 << n) - 2) & ~_barred(q)  # bits 1..n, less the barred ones
+        up = (free >> (q[0] + 1 if q else n + 1)).bit_count()
+        runs = 1 + descent_count(q)
+        row[runs] += free.bit_count() - up
+        row[runs + 1] += up
+    return +row  # drops the zero counts
 
 
 # _levels[m] holds every 2-stack sortable m-permutation in lexicographic
@@ -191,7 +240,7 @@ _levels_lock = threading.Lock()
 def _level(m: int) -> tuple:
     with _levels_lock:
         for size in range(len(_levels), m + 1):
-            _levels.append(tuple(_two_sortable(size, _levels[-1], range(1, size + 1))))
+            _levels.append(tuple(_two_sortable(size, _levels[-1])))
     return _levels[m]
 
 
@@ -203,10 +252,12 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     Deleting the first entry keeps 2-stack sortability (in West's 2341 and
     3-5-241 with the 5 barred, the first entry is never the barred 5), so
     level n is grown from level n-1: each first entry v in front of each
-    sortable (n-1)-permutation raised by 1 at >= v.  Levels below the
-    budget are built once per process and kept as tuples; the level at the
-    budget is streamed from the kept one below it, so the table never
-    holds more than n = 11 needs: 39 MB, nearly all of it level 10.
+    sortable (n-1)-permutation q raised by 1 at >= v, for the v that one
+    scan of q admits (:func:`_barred`); no candidate is built and rejected.
+    Levels below the budget are built once per process and kept as tuples;
+    the level at the budget is streamed from the kept one below it, so the
+    table never holds more than n = 11 needs: 39 MB, nearly all of it
+    level 10.
 
     >>> list(two_stack_sortable(0))
     [()]
@@ -218,20 +269,16 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     check_exhaustive(n)
     if n < MAX_EXHAUSTIVE_N:
         return iter(_level(n))
-    return _two_sortable(n, _level(n - 1), range(1, n + 1))
-
-
-def _tally_runs(n, below, firsts):
-    """Tally runs of the 2-stack sortable n-permutations that start in ``firsts``."""
-    return Counter(1 + descent_count(p) for p in _two_sortable(n, below, firsts))
+    return _two_sortable(n, _level(n - 1))
 
 
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
     Count 2-stack sortable n-permutations by runs, over the exhaustive
-    stream of :func:`two_stack_sortable`.  ``jobs`` > 1 hands the kept
-    sortable (n-1)-permutations to worker processes, which divide the first
-    entries; the merged result is identical for any job count.
+    stream of :func:`two_stack_sortable`.  ``jobs`` > 1 hands slices of the
+    kept sortable (n-1)-permutations to worker processes, which tally the
+    runs without building level n (:func:`_tally_runs`); the merged result
+    is identical for any job count.
 
     Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
     """
@@ -245,7 +292,7 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
         import multiprocessing  # here only: it adds about 8 ms to every CLI start
 
         below = _level(n - 1)
-        parts = [(n, below, range(w + 1, n + 1, workers)) for w in range(workers)]
+        parts = [(n, below[w::workers]) for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             row = sum(pool.starmap(_tally_runs, parts), Counter())
     else:

@@ -46,21 +46,21 @@ class SuiteReport(NamedTuple):
         return not self.failures
 
 
-def _suite_total(max_n: int, jobs: int) -> list[Check]:
+def _suite_total(max_n: int) -> list[Check]:
     return [
         Check(
             f"2-stack sortable total, n={n}",
             counting.w_total(n),
-            counting.brute_force_w(n, jobs).total(),
+            counting.brute_force_w(n).total(),
         )
         for n in range(1, max_n + 1)
     ]
 
 
-def _suite_formula_vs_brute(max_n: int, jobs: int) -> list[Check]:
+def _suite_formula_vs_brute(max_n: int) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
-        table = counting.brute_force_w(n, jobs)
+        table = counting.brute_force_w(n)
         checks += [
             Check(f"W({n},{k})", counting.w_formula(n, k), table.row.get(k, 0))
             for k in range(1, n + 1)
@@ -68,7 +68,7 @@ def _suite_formula_vs_brute(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_tree_vs_perm(max_n: int, jobs: int) -> list[Check]:
+def _suite_tree_vs_perm(max_n: int) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
@@ -92,7 +92,7 @@ def _suite_tree_vs_perm(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_joint_rl(max_n: int, jobs: int) -> list[Check]:
+def _suite_joint_rl(max_n: int) -> list[Check]:
     return [
         Check(
             f"(runs, rl) over permutations vs (leaves, root) over trees, n={n}",
@@ -103,20 +103,20 @@ def _suite_joint_rl(max_n: int, jobs: int) -> list[Check]:
     ]
 
 
-def _suite_symmetry(max_n: int, jobs: int) -> list[Check]:
+def _suite_symmetry(max_n: int) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
         row = counting.w_table(n).row
         bad = [k for k in range(1, n + 1) if row[k] != row[n + 1 - k]]
         checks.append(Check(f"W({n},k) = W({n},{n}+1-k) for all k", [], bad))
     for n in range(1, min(max_n, 8) + 1):
-        row = counting.brute_force_w(n, jobs).row
+        row = counting.brute_force_w(n).row
         bad = [k for k in range(1, n + 1) if row.get(k, 0) != row.get(n + 1 - k, 0)]
         checks.append(Check(f"brute descent/ascent symmetry, n={n}", [], bad))
     return checks
 
 
-def _suite_unimodality(max_n: int, jobs: int) -> list[Check]:
+def _suite_unimodality(max_n: int) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
         row = counting.w_table(n).row
@@ -134,7 +134,7 @@ def _suite_unimodality(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_map_substitution(max_n: int, jobs: int) -> list[Check]:
+def _suite_map_substitution(max_n: int) -> list[Check]:
     checks = [
         Check(
             "shifted substitution f=k-1, pv=n-k disagrees at n=3, k=2",
@@ -155,7 +155,7 @@ def _suite_map_substitution(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_catalan(max_n: int, jobs: int) -> list[Check]:
+def _suite_catalan(max_n: int) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
         one_pass = 0
@@ -176,7 +176,7 @@ def _suite_catalan(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_lemma1(max_n: int, jobs: int) -> list[Check]:
+def _suite_lemma1(max_n: int) -> list[Check]:
     checks = []
     for n in range(2, max_n + 1):
         reduced = {}  # type-1 p -> reduce_type1(p)
@@ -233,7 +233,7 @@ def _check_formula_n(max_n: int) -> None:
 
 #: suite -> (its checks, its customary max_n, the size check max_n must pass
 #: before any work)
-_SUITES: dict[str, tuple[Callable[[int, int], list[Check]], int, Callable[[int], None]]] = {
+_SUITES: dict[str, tuple[Callable[[int], list[Check]], int, Callable[[int], None]]] = {
     "catalan": (_suite_catalan, 9, counting.check_exhaustive),
     "formula-vs-brute": (_suite_formula_vs_brute, 9, counting.check_exhaustive),
     "tree-vs-perm": (_suite_tree_vs_perm, 8, lambda max_n: trees.check_nodes(max_n + 1)),
@@ -249,7 +249,7 @@ SUITE_NAMES = tuple(_SUITES)
 SUITE_DEFAULTS = {name: default for name, (_, default, _) in _SUITES.items()}
 
 
-def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport:
+def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """
     Run one named suite up to ``max_n`` (each suite's customary bound when
     omitted) and return the full comparison report.  A suite that
@@ -263,7 +263,5 @@ def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport
     bound = default if max_n is None else max_n
     if bound < 1:
         raise ValueError(f"max_n must be >= 1, got {bound}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     check_size(bound)
-    return SuiteReport(name, bound, suite(bound, jobs))
+    return SuiteReport(name, bound, suite(bound))

@@ -362,7 +362,6 @@ def test_formula_budget_exit_two(capsys, monkeypatch, suite):
     [
         (["count", "w", "--n", "4", "--k", "2", "--method", "brute", "--jobs", "0"], 0),
         (["count", "total", "--n", "4", "--method", "brute", "--jobs", "0"], 0),
-        (["verify", "--suite", "catalan", "--jobs", "-3"], -3),
     ],
 )
 def test_fewer_than_one_job_exit_two(capsys, argv, jobs):
@@ -438,6 +437,7 @@ MISPLACED = {
     # flags the target used to accept and ignore
     "count-catalan-jobs": (["count", "catalan", "--n", "4", "--jobs", "2"], "--jobs"),
     "count-trees-jobs": (["count", "trees", "--n", "4", "--k", "2", "--jobs", "2"], "--jobs"),
+    "verify-jobs": (["verify", "--suite", "catalan", "--jobs", "2"], "--jobs"),
     "count-maps-n": (["count", "maps", "--n", "3", "--f", "2", "--pv", "3"], "--n"),
     "count-total-k": (["count", "total", "--n", "4", "--k", "2"], "--k"),
     "count-w-f-pv": (

@@ -1,10 +1,13 @@
 import json
 import threading
+from bisect import bisect_left
 from collections import Counter
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twostack import counting
 from twostack.counting import (
@@ -146,7 +149,7 @@ def test_brute_force_w_frozen():
 
 
 def test_sweeps_match_the_public_predicate():
-    # the inlined two-pass test in counting vs is_t_stack_sortable
+    # West's first-entry scan in counting vs the stack-sorting predicate
     for n in range(0, 8):
         sortable = [
             p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)
@@ -166,7 +169,7 @@ def _fresh_levels(monkeypatch):
     return levels
 
 
-def _not_allowed(n, below, firsts):
+def _not_allowed(n, below):
     raise AssertionError(f"built level {n} again")
 
 
@@ -186,6 +189,38 @@ def test_generator_matches_the_exhaustive_filter(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr("twostack.counting._two_sortable", _not_allowed)
             assert list(two_stack_sortable(n)) == sortable
+
+
+@cache
+def _kept(n):
+    return tuple(two_stack_sortable(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, TOTALS[8] - 1))
+def test_first_entries_past_the_sweep_match_the_public_predicate(index):
+    # level 10 is out of the n! sweep's reach: check every first entry of
+    # one sortable 9-permutation against the stack-sorting predicate
+    below, level = _kept(9), _kept(10)
+    q = below[index % len(below)]  # a wrong level 9 still reaches the check
+    for v in range(1, 11):
+        p = (v, *[x + (x >= v) for x in q])
+        at = bisect_left(level, p)
+        assert (at < len(level) and level[at] == p) == is_t_stack_sortable(p, 2), p
+
+
+def test_count_at_the_budget_matches_the_exhaustive_filter(monkeypatch):
+    # at the budget one core streams level n, and each worker tallies runs
+    # from its slice of level n-1 without building level n; check both
+    # against the n! sweep
+    for n in range(1, 9):
+        sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
+        runs = Counter(1 + descent_count(p) for p in sortable)
+        expected = CountTable(n, {k: runs[k] for k in sorted(runs)})
+        with monkeypatch.context() as patch:
+            patch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", n)
+            assert brute_force_w(n) == expected
+            assert brute_force_w(n, jobs=2) == expected
 
 
 def test_levels_are_built_once_per_process(monkeypatch):
@@ -219,9 +254,9 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     built = []
     sortable_step = counting._two_sortable
 
-    def counted(n, below, firsts):
+    def counted(n, below):
         built.append(n)
-        yield from sortable_step(n, below, firsts)
+        yield from sortable_step(n, below)
 
     monkeypatch.setattr("twostack.counting._two_sortable", counted)
     start = threading.Barrier(2)
@@ -332,7 +367,7 @@ def test_joint_distribution_domain_errors():
 
 
 def test_exhaustive_counters_respect_the_budget(monkeypatch):
-    def sweep_not_allowed(n, below, firsts):
+    def sweep_not_allowed(n, below):
         raise AssertionError(f"swept n={n} past the budget")
 
     with monkeypatch.context() as patch:

@@ -44,17 +44,6 @@ def test_unknown_suite_rejected():
         run_suite("total", 0)
 
 
-def test_fewer_than_one_job_rejected_up_front(monkeypatch):
-    def suite_not_allowed(max_n, jobs):
-        raise AssertionError(f"suite started with jobs={jobs}")
-
-    _, default, check_size = verify._SUITES["catalan"]
-    monkeypatch.setitem(verify._SUITES, "catalan", (suite_not_allowed, default, check_size))
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
-            run_suite("catalan", None, jobs)
-
-
 def test_report_flags_failures():
     report = SuiteReport(
         "demo", 1, [Check("good", 1, 1), Check("bad", 1, 2)]
@@ -84,7 +73,7 @@ def test_default_bound_is_used_when_omitted():
     ],
 )
 def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, max_n, message):
-    def suite_not_allowed(max_n, jobs):
+    def suite_not_allowed(max_n):
         raise AssertionError(f"suite {name} started at max_n={max_n}")
 
     _, default, check_size = verify._SUITES[name]
