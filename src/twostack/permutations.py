@@ -14,6 +14,8 @@ separated by single spaces or commas, e.g. ``"3 5 2 4 1"`` or
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
 from math import inf
 from operator import gt
 from typing import Iterable, NamedTuple, Sequence
@@ -23,7 +25,8 @@ def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
     """
     Freeze ``entries`` into a tuple, checking it is a permutation of 1..n.
 
-    Repeats, gaps and non-positive values are all rejected.
+    Repeats, gaps, non-positive values and entries that are not ints
+    (floats, bools, strings) are all rejected.
 
     >>> as_permutation([3, 1, 2])
     (3, 1, 2)
@@ -33,7 +36,13 @@ def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
     ValueError: not a permutation of 1..2: (1, 3)
     """
     perm = tuple(entries)
-    if sorted(perm) != list(range(1, len(perm) + 1)):
+    # a float or bool equal to an int gets past the compare, and a str breaks the sort
+    return _checked(perm, set(map(type, perm)) <= {int})
+
+
+def _checked(perm: tuple[int, ...], ints: bool = True) -> tuple[int, ...]:
+    """``perm`` itself if its entries are ints, as ``ints`` says, and 1..n."""
+    if not ints or sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
     return perm
 
@@ -52,7 +61,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         entries = [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"not a sequence of integers: {text!r}") from None
-    return as_permutation(entries)
+    return _checked(tuple(entries))  # int() returned ints
 
 
 def format_permutation(perm: Sequence[int]) -> str:
@@ -100,6 +109,13 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
     identity.  Since the identity is a fixed point, sortability in t passes
     implies sortability in any larger number of passes.
 
+    For t >= 2, the first t - 2 passes are plain :func:`stack_sort` calls and
+    the last two are streamed through two stacks in series: whatever pops
+    from the first is pushed into the second, and the pops from the second
+    must come out as 1, 2, 3, ...  The answer is False at the first one
+    that does not, so most inputs are rejected before they are read to the
+    end, and no pass output is built.
+
     >>> is_t_stack_sortable((3, 5, 2, 4, 1), 2)
     True
     >>> is_t_stack_sortable((3, 2, 4, 1), 2)
@@ -107,13 +123,34 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
     """
     if t < 0:
         raise ValueError("number of passes must be >= 0")
-    cur = tuple(perm)
-    ident = identity(len(cur))
-    for _ in range(t):
-        if cur == ident:
-            return True
-        cur = stack_sort(cur)
-    return cur == ident
+    if t <= 1:
+        cur = tuple(perm)
+        return (stack_sort(cur) if t else cur) == identity(len(cur))
+    if t > 2:
+        # a permutation of 1..n sorts in n - 1 passes and nothing else sorts
+        # in any number, so passes past that change no answer
+        for _ in range(min(t - 2, len(perm))):
+            perm = stack_sort(perm)
+    # both stacks stand on an inf that never pops; top1 and top2 are their tops
+    first, second = [inf], [inf]
+    top1 = top2 = inf
+    need = 1
+    for x in chain(perm, (inf,)):  # the last inf flushes the first stack
+        while top1 < x:
+            y = first.pop()
+            top1 = first[-1]
+            while top2 < y:
+                if top2 != need:
+                    return False
+                need += 1
+                second.pop()
+                top2 = second[-1]
+            second.append(y)
+            top2 = y
+        first.append(x)
+        top1 = x
+    # what the second stack still holds comes out top first
+    return second[:0:-1] == list(range(need, len(perm) + 1))
 
 
 def sorting_passes(perm: Sequence[int]) -> int:
@@ -136,6 +173,27 @@ def sorting_passes(perm: Sequence[int]) -> int:
     raise ValueError(f"not a permutation of 1..{len(ident)}: {tuple(perm)}")
 
 
+@lru_cache(maxsize=64)
+def _bounds(patt: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """
+    The search plan of :func:`contains_pattern`: for each position of a
+    k-pattern, the earlier positions holding the nearest smaller and nearest
+    larger values, with k and k + 1 standing for none.  Costs k^2 steps.
+    """
+    k = len(patt)
+    values = (*patt, -inf, inf)
+    bounds = []
+    for j, x in enumerate(patt):
+        lo, hi = k, k + 1
+        for a in range(j):
+            if values[lo] < patt[a] < x:
+                lo = a
+            elif x < patt[a] < values[hi]:
+                hi = a
+        bounds.append((lo, hi))
+    return tuple(bounds)
+
+
 def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     """
     True iff ``perm`` has a subsequence in the same relative order as the
@@ -145,7 +203,8 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     Backtracking over index choices, without recursion.  A candidate for
     a pattern position needs one interval test: it must lie between the
     entries chosen for the earlier positions holding the nearest smaller
-    and nearest larger pattern values.
+    and nearest larger pattern values.  Those positions are planned once
+    per pattern by :func:`_bounds`, whose cache keeps the last 64 plans.
 
     >>> contains_pattern((3, 5, 2, 4, 1), (2, 3, 1))
     True
@@ -159,20 +218,11 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     if k > n:
         return False
 
-    # chosen[j] = perm[picked[j]] fills pattern position j; bounds[j] holds the
-    # positions of its bounds, with slots k and k + 1 below and above all
+    # chosen[j] = perm[picked[j]] fills pattern position j; slots k and k + 1
+    # sit below and above every entry
     chosen = [0] * k + [-inf, inf]
     picked = [0] * k
-    values = (*patt, -inf, inf)
-    bounds = []
-    for j, x in enumerate(patt):
-        lo, hi = k, k + 1
-        for a in range(j):
-            if values[lo] < patt[a] < x:
-                lo = a
-            elif x < patt[a] < values[hi]:
-                hi = a
-        bounds.append((lo, hi))
+    bounds = _bounds(tuple(patt))
 
     j = start = 0
     while j < k:

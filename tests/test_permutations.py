@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twostack.permutations import (
+    _bounds,
     as_permutation,
     contains_pattern,
     descent_count,
@@ -54,6 +55,23 @@ def shaped(lengths):
     return lengths.flatmap(of_length)
 
 
+def sorted_by_composed_passes(p, t):
+    """Independent oracle for the streamed predicate: t whole stack_sort
+    passes, then one compare with the identity."""
+    cur = tuple(p)
+    for _ in range(t):
+        cur = stack_sort(cur)
+    return cur == identity(len(cur))
+
+
+def one_entry_changed(p):
+    """A permutation with one entry overwritten, so the result holds a repeat
+    or an out-of-range value but otherwise still sorts like ``p``."""
+    return st.tuples(st.integers(0, len(p) - 1), st.integers(-1, len(p) + 1)).map(
+        lambda iv: p[: iv[0]] + (iv[1],) + p[iv[0] + 1 :]
+    )
+
+
 def contains_by_combinations(p, q):
     """Independent oracle: some subsequence of q's length, read in the order
     of q's values, comes out ascending."""
@@ -69,7 +87,9 @@ def test_as_permutation_accepts_and_freezes():
     assert as_permutation(()) == ()
 
 
-@pytest.mark.parametrize("bad", [[1, 1], [2, 3], [0, 1], [-1, 2, 1], [1, 2, 4]])
+@pytest.mark.parametrize(
+    "bad", [[1, 1], [2, 3], [0, 1], [-1, 2, 1], [1, 2, 4], [2.0, 1.0], [True], ["a", 1]]
+)
 def test_as_permutation_rejects_repeats_gaps_nonpositive(bad):
     with pytest.raises(ValueError):
         as_permutation(bad)
@@ -162,6 +182,37 @@ def test_sortable_monotone_in_passes_exhaustive():
             assert flags == sorted(flags)  # False...False True...True
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_sortable_matches_composed_passes_exhaustive(n):
+    for p in permutations(range(1, n + 1)):
+        for t in range(5):
+            assert is_t_stack_sortable(p, t) == sorted_by_composed_passes(p, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped(st.integers(9, 300)), st.integers(0, 6))
+@example(identity(300)[::-1], 2)  # one pass sorts it: nothing pops before the flush
+@example((2, 3, 4, 1, *range(5, 301)), 2)  # the first pop of the last pass is out of order
+def test_sortable_matches_composed_passes_on_long_inputs(p, t):
+    assert is_t_stack_sortable(p, t) == sorted_by_composed_passes(p, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-1, 10), max_size=9) | perms(9).flatmap(one_entry_changed),
+    st.integers(0, 6),
+)
+@example([1, 1], 2)
+@example([3, 1, 2, 5], 2)  # sorts like a permutation, but 4 is missing
+def test_sortable_matches_composed_passes_on_any_int_list(p, t):
+    assert is_t_stack_sortable(p, t) == sorted_by_composed_passes(p, t)
+
+
+def test_sortable_takes_any_number_of_passes():
+    assert is_t_stack_sortable(identity(50)[::-1], 10**9)
+    assert not is_t_stack_sortable((1, 1), 10**9)
+
+
 def test_sorting_passes():
     assert sorting_passes(()) == 0
     assert sorting_passes((1, 2, 3)) == 0
@@ -196,6 +247,22 @@ def test_contains_pattern_frozen_examples():
 def test_contains_pattern_rejects_empty_pattern():
     with pytest.raises(ValueError):
         contains_pattern((1, 2), ())
+
+
+def test_contains_pattern_rejects_empty_pattern_before_planning():
+    before = _bounds.cache_info()
+    with pytest.raises(ValueError, match="pattern must be nonempty"):
+        contains_pattern((1, 2), ())
+    assert _bounds.cache_info() == before
+
+
+def test_pattern_plans_are_kept_in_a_bounded_cache():
+    assert _bounds.cache_info().maxsize is not None
+
+
+@given(shaped(st.integers(1, 12)), shaped(st.integers(1, 4)))
+def test_contains_pattern_list_and_tuple_patterns_agree(p, q):
+    assert contains_pattern(p, list(q)) == contains_pattern(p, q)
 
 
 def test_contains_pattern_longer_than_perm():
