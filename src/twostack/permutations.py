@@ -26,7 +26,8 @@ def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
     Freeze ``entries`` into a tuple, checking it is a permutation of 1..n.
 
     Repeats, gaps, non-positive values and entries that are not ints
-    (floats, bools, strings) are all rejected.
+    (floats, strings) or are bools are all rejected.  Other subclasses of
+    int, such as ``IntEnum`` members, are accepted as they are.
 
     >>> as_permutation([3, 1, 2])
     (3, 1, 2)
@@ -37,11 +38,7 @@ def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
     """
     perm = tuple(entries)
     # a float or bool equal to an int gets past the compare, and a str breaks the sort
-    return _checked(perm, set(map(type, perm)) <= {int})
-
-
-def _checked(perm: tuple[int, ...], ints: bool = True) -> tuple[int, ...]:
-    """``perm`` itself if its entries are ints, as ``ints`` says, and 1..n."""
+    ints = all(issubclass(c, int) and c is not bool for c in set(map(type, perm)))
     if not ints or sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
     return perm
@@ -61,7 +58,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         entries = [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"not a sequence of integers: {text!r}") from None
-    return _checked(tuple(entries))  # int() returned ints
+    return as_permutation(entries)
 
 
 def format_permutation(perm: Sequence[int]) -> str:
@@ -129,7 +126,11 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
     if t > 2:
         # a permutation of 1..n sorts in n - 1 passes and nothing else sorts
         # in any number, so passes past that change no answer
+        perm = tuple(perm)
+        ident = identity(len(perm))
         for _ in range(min(t - 2, len(perm))):
+            if perm == ident:
+                return True
             perm = stack_sort(perm)
     # both stacks stand on an inf that never pops; top1 and top2 are their tops
     first, second = [inf], [inf]

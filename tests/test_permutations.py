@@ -1,10 +1,12 @@
 from collections import Counter
+from enum import IntEnum
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import twostack.permutations as P
 from twostack.permutations import (
     _bounds,
     as_permutation,
@@ -93,6 +95,11 @@ def test_as_permutation_accepts_and_freezes():
 def test_as_permutation_rejects_repeats_gaps_nonpositive(bad):
     with pytest.raises(ValueError):
         as_permutation(bad)
+
+
+def test_as_permutation_keeps_int_subclasses_other_than_bool():
+    Entry = IntEnum("Entry", "ONE TWO")
+    assert as_permutation([Entry.TWO, Entry.ONE]) == (2, 1)
 
 
 def test_parse_permutation_spaces_and_commas():
@@ -208,8 +215,13 @@ def test_sortable_matches_composed_passes_on_any_int_list(p, t):
     assert is_t_stack_sortable(p, t) == sorted_by_composed_passes(p, t)
 
 
-def test_sortable_takes_any_number_of_passes():
-    assert is_t_stack_sortable(identity(50)[::-1], 10**9)
+def test_sortable_takes_any_number_of_passes(monkeypatch):
+    passes = []
+    monkeypatch.setattr(P, "stack_sort", lambda p: passes.append(p) or stack_sort(p))
+    assert is_t_stack_sortable(list(identity(2000)), 10**9)
+    assert passes == []
+    assert is_t_stack_sortable(identity(2000)[::-1], 10**9)
+    assert len(passes) == 1  # one pass sorts it, and the next check sees the identity
     assert not is_t_stack_sortable((1, 1), 10**9)
 
 
