@@ -164,22 +164,21 @@ def _cmd_count(args) -> int:
     value = _COUNTERS[args.what, args.method](args)
     params = {key: getattr(args, key) for key in ("n", "k", "f", "pv") if hasattr(args, key)}
     input_obj = {"what": args.what, "method": args.method, **params}
-    _emit(args, "count", input_obj, str(value), [str(value)])
+    text = str(value)
+    _emit(args, "count", input_obj, text, [text])
     return 0
 
 
 def _cmd_table(args) -> int:
     table = counting.w_table(args.n)
+    # each format converts the counts to decimal once, for what it prints
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
+    elif args.format == "json":
+        _emit(args, "table", {"n": args.n}, table.to_json_dict(), [])
     else:
-        _emit(
-            args,
-            "table",
-            {"n": args.n},
-            table.to_json_dict(),
-            [f"W({args.n},{k}) = {table.row[k]}" for k in sorted(table.row)],
-        )
+        _emit(args, "table", {"n": args.n}, None,
+              [f"W({args.n},{k}) = {table.row[k]}" for k in sorted(table.row)])
     return 0
 
 
@@ -290,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=int, required=True)
         p.add_argument("--method", choices=methods, default="formula")
         if "brute" in methods:
-            p.add_argument("--jobs", type=int, default=1, help="worker processes for brute force")
+            p.add_argument(
+                "--jobs", type=int, default=1,
+                help=f"worker processes for brute force at n = {counting.MAX_EXHAUSTIVE_N}",
+            )
         p.set_defaults(handler=_cmd_count, parser=p)
 
     p = sub.add_parser("table", help="full W(n, 1..n) row")

@@ -6,9 +6,11 @@ All counts are exact Python integers; every formula division is checked to
 be remainder-free, so a transcription slip raises instead of silently
 truncating.  Brute-force counters grow the sortable permutations one first
 entry at a time, admitting only the first entries that West's
-characterisation allows, so no candidate is built and then rejected;
-tallies over slices of a level merge by addition, so results do not depend
-on the number of workers.
+characterisation allows, so no candidate is built and then rejected.
+Levels below the budget are kept once built, and one core reads them; only
+the level at the budget is tallied by worker processes, over slices of the
+level below it that merge by addition, so results do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -275,10 +277,11 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
     Count 2-stack sortable n-permutations by runs, over the exhaustive
-    stream of :func:`two_stack_sortable`.  ``jobs`` > 1 hands slices of the
-    kept sortable (n-1)-permutations to worker processes, which tally the
-    runs without building level n (:func:`_tally_runs`); the merged result
-    is identical for any job count.
+    stream of :func:`two_stack_sortable`.  Below :data:`MAX_EXHAUSTIVE_N`
+    the level is kept, so one core reads it and ``jobs`` is ignored.  At the
+    budget, ``jobs`` > 1 hands slices of the kept sortable (n-1)-permutations
+    to worker processes, which tally the runs without building level n
+    (:func:`_tally_runs`); the merged result is identical for any job count.
 
     Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
     """
@@ -287,7 +290,7 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     check_exhaustive(n)
-    workers = min(jobs, n)
+    workers = min(jobs, n) if n == MAX_EXHAUSTIVE_N else 1
     if workers > 1:
         import multiprocessing  # here only: it adds about 8 ms to every CLI start
 

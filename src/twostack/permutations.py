@@ -201,11 +201,13 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     pattern ``patt``: indices i_1 < ... < i_k with perm[i_a] < perm[i_b]
     exactly when patt[a] < patt[b].
 
-    Backtracking over index choices, without recursion.  A candidate for
-    a pattern position needs one interval test: it must lie between the
+    Backtracking over index choices, without recursion.  Position 0 has
+    no bounds, so each entry in turn fills it outright.  A candidate for a
+    later pattern position needs one interval test: it must lie between the
     entries chosen for the earlier positions holding the nearest smaller
     and nearest larger pattern values.  Those positions are planned once
     per pattern by :func:`_bounds`, whose cache keeps the last 64 plans.
+    The search stops as soon as the last position is filled.
 
     >>> contains_pattern((3, 5, 2, 4, 1), (2, 3, 1))
     True
@@ -218,34 +220,60 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     n = len(perm)
     if k > n:
         return False
+    if k == 1:
+        return True
 
-    # chosen[j] = perm[picked[j]] fills pattern position j; slots k and k + 1
-    # sit below and above every entry
+    # chosen[j] = perm[picked[j]] fills pattern position j (perm[first] fills
+    # position 0); slots k and k + 1 sit below and above every entry
     chosen = [0] * k + [-inf, inf]
     picked = [0] * k
     bounds = _bounds(tuple(patt))
 
-    j = start = 0
-    while j < k:
-        lo, hi = bounds[j]
-        low, high = chosen[lo], chosen[hi]
-        for i in range(start, n - k + j + 1):
-            v = perm[i]
-            if low < v < high:
-                chosen[j], picked[j] = v, i
-                j, start = j + 1, i + 1
-                break
-        else:  # no entry fits position j after the current choices: backtrack
-            if j == 0:
-                return False
-            j -= 1
-            start = picked[j] + 1
-    return True
+    last = k - 1
+    for first in range(n - last):
+        chosen[0] = perm[first]
+        j, start = 1, first + 1
+        while j:
+            lo, hi = bounds[j]
+            low, high = chosen[lo], chosen[hi]
+            for i in range(start, n - last + j):
+                v = perm[i]
+                if low < v < high:
+                    if j == last:
+                        return True
+                    chosen[j], picked[j] = v, i
+                    j, start = j + 1, i + 1
+                    break
+            else:  # no entry fits position j after the current choices: backtrack
+                j -= 1
+                start = picked[j] + 1
+    return False
 
 
 def descent_count(perm: Sequence[int]) -> int:
     """Number of positions i with perm[i] > perm[i+1]."""
     return sum(map(gt, perm, perm[1:]))
+
+
+def _rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """
+    Read a nonempty ``perm`` once from the right.  Return its right-to-left
+    maxima in decreasing order, and its type (see :func:`perm_type`), or 0
+    for no type when a_t > 1 and the entry a_t - 1 is missing.  The entries
+    read before the first one larger than a_t form the final string s_t.
+    """
+    last = perm[-1]  # a_t
+    want = last - 1
+    maxima: list[int] = []
+    best = ptype = 0
+    for x in reversed(perm):
+        if x > best:
+            maxima.append(x)
+            best = x
+        elif x == want:  # the leftmost a_t - 1 is read last, and decides
+            ptype = 1 if best == last else 2
+    maxima.reverse()
+    return tuple(maxima), 2 if last == 1 else ptype
 
 
 def rl_maxima(perm: Sequence[int]) -> tuple[int, ...]:
@@ -259,14 +287,7 @@ def rl_maxima(perm: Sequence[int]) -> tuple[int, ...]:
     >>> rl_maxima((4, 1, 2, 3))
     (4, 3)
     """
-    out: list[int] = []
-    best = 0
-    for x in reversed(perm):
-        if x > best:
-            out.append(x)
-            best = x
-    out.reverse()
-    return tuple(out)
+    return _rl_scan(perm)[0] if perm else ()
 
 
 def perm_type(perm: Sequence[int]) -> int:
@@ -315,14 +336,11 @@ def statistics(perm: Sequence[int]) -> Statistics:
     """
     if not perm:
         raise ValueError("statistics are undefined for the empty permutation")
+    maxima, ptype = _rl_scan(perm)
+    if not ptype:
+        raise ValueError(f"type is undefined: {perm[-1] - 1} is missing from {tuple(perm)}")
     d = descent_count(perm)
-    return Statistics(
-        descents=d,
-        ascents=len(perm) - 1 - d,
-        runs=d + 1,
-        rl_maxima=rl_maxima(perm),
-        ptype=perm_type(perm),
-    )
+    return Statistics(d, len(perm) - 1 - d, d + 1, maxima, ptype)
 
 
 class MarkedPermutation(NamedTuple):
@@ -358,9 +376,8 @@ def reduce_type1(perm: Sequence[int]) -> MarkedPermutation:
     if perm_type(perm) != 1:
         raise ValueError(f"not a type-1 permutation: {perm}")
     last = perm[-1]
-    shrunk = tuple(x - 1 if x > last else x for x in perm[:-1])
-    rank = rl_maxima(shrunk).index(last - 1) + 1
-    return MarkedPermutation(shrunk, rank)
+    shrunk = tuple([x - 1 if x > last else x for x in perm[:-1]])
+    return MarkedPermutation(shrunk, rl_maxima(shrunk).index(last - 1) + 1)
 
 
 def restore_type1(marked: tuple[Sequence[int], int]) -> tuple[int, ...]:
@@ -385,4 +402,4 @@ def restore_type1(marked: tuple[Sequence[int], int]) -> tuple[int, ...]:
             "right-to-left maxima"
         )
     value = maxima[rank - 1]
-    return tuple(x + 1 if x > value else x for x in perm) + (value + 1,)
+    return (*[x + 1 if x > value else x for x in perm], value + 1)

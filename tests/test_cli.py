@@ -155,7 +155,7 @@ def test_parser_is_built_once_and_shared(capsys, monkeypatch):
 
 
 def test_cli_import_skips_dataclasses_and_multiprocessing():
-    # each adds several ms to every CLI start; only --jobs > 1 needs multiprocessing
+    # each adds several ms to every CLI start; only --jobs > 1 at n = 11 needs multiprocessing
     probe = (
         "import sys, twostack.cli; "
         "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))"

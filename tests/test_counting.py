@@ -283,6 +283,18 @@ def test_brute_force_w_worker_count_does_not_matter():
     assert brute_force_w(6, jobs=12) == brute_force_w(6)
 
 
+def test_jobs_start_no_pool_below_the_budget(monkeypatch):
+    # below the budget the level is kept, so one core reads it whatever jobs says
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a worker pool below the budget")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    for n in range(1, 9):
+        assert brute_force_w(n, jobs=2).row == w_table(n).row
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 7)
+    assert brute_force_w(6, jobs=4).row == w_table(6).row
+
+
 def test_brute_force_w_rejects_fewer_than_one_job(monkeypatch):
     def not_allowed(*args):
         raise AssertionError("worked with no job")

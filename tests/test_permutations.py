@@ -81,6 +81,31 @@ def contains_by_combinations(p, q):
     return any(sorted(sub) == [sub[i] for i in order] for sub in combinations(p, len(q)))
 
 
+def maxima_at(p):
+    """Independent oracle: the positions of the entries larger than everything
+    after them (the right-to-left maxima)."""
+    return [i for i, x in enumerate(p) if x > max(p[i + 1 :], default=0)]
+
+
+def type_by_split(p):
+    """Independent oracle for a permutation: write p as s_1 a_1 ... s_t a_t
+    around its right-to-left maxima; type 1 iff a_t - 1 lies in the final
+    string s_t (never when a_t = 1)."""
+    last = p[-1]
+    ends = maxima_at(p)
+    final = p[ends[-2] + 1 : -1] if len(ends) > 1 else p[:-1]
+    return 1 if last - 1 in final else 2
+
+
+def check_statistics_by_definitions(p):
+    d = sum(a > b for a, b in zip(p, p[1:]))
+    maxima = tuple(p[i] for i in maxima_at(p))
+    ptype = type_by_split(p)
+    assert statistics(p) == (d, len(p) - 1 - d, d + 1, maxima, ptype)
+    assert rl_maxima(p) == maxima
+    assert perm_type(p) == ptype
+
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -288,7 +313,14 @@ def test_contains_pattern_takes_patterns_longer_than_the_recursion_limit():
     assert contains_pattern(identity(1500), identity(1200))
 
 
-@pytest.mark.parametrize("q", [(1,), (2, 1), (2, 3, 1), (1, 3, 2, 4)])
+@pytest.mark.parametrize(
+    "q",
+    [
+        (1,), (2, 1), (2, 3, 1), (1, 3, 2, 4),
+        (1, 2), (1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1),
+        (2, 4, 1, 5, 3), (3, 1, 4, 6, 2, 5),  # as long as the longest inputs: k = n
+    ],
+)
 def test_contains_pattern_matches_combinations_oracle(q):
     for n in range(1, 7):
         for p in permutations(range(1, n + 1)):
@@ -344,6 +376,43 @@ def test_statistics_invariants_exhaustive():
             assert s.rl_maxima[0] == n
             assert s.rl_maxima[-1] == p[-1]
             assert list(s.rl_maxima) == sorted(s.rl_maxima, reverse=True)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_statistics_match_definitions_exhaustive(n):
+    for p in permutations(range(1, n + 1)):
+        check_statistics_by_definitions(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped(st.integers(9, 300)))
+@example(identity(300))  # a_t = n, so t = 1 and s_1 holds a_t - 1: type 1
+@example(identity(300)[::-1])  # a_t = 1: type 2
+@example((*range(150, 301), *range(1, 150)))  # t = 2, s_2 holds a_t - 1: type 1
+@example((*range(1, 149), 300, *range(150, 300), 149))  # a_t - 1 before a_1: type 2
+def test_statistics_match_definitions_on_long_inputs(p):
+    check_statistics_by_definitions(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=9))
+@example([])
+@example([3])  # a_t - 1 missing
+@example([1, 3])
+@example([0])
+@example([2, 0, 1])  # a_t = 1 takes no a_t - 1, even where a 0 stands for one
+def test_statistics_and_type_raise_on_the_same_lists(p):
+    # the statistics of a list that is not a permutation are undefined, but
+    # they raise exactly where the type does: on the empty list, and where
+    # a_t > 1 has no a_t - 1
+    if not p or (p[-1] != 1 and p[-1] - 1 not in p):
+        for stat in (statistics, perm_type):
+            with pytest.raises(ValueError):
+                stat(p)
+    else:
+        s = statistics(p)
+        assert s.rl_maxima == rl_maxima(p) == tuple(p[i] for i in maxima_at(p))
+        assert s.ptype == perm_type(p)
 
 
 def test_every_permutation_has_exactly_one_type():
