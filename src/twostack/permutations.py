@@ -259,7 +259,7 @@ def _rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """
     Read a nonempty ``perm`` once from the right.  Return its right-to-left
     maxima in decreasing order, and its type (see :func:`perm_type`), or 0
-    for no type when a_t > 1 and the entry a_t - 1 is missing.  The entries
+    for no type when a_t != 1 and the entry a_t - 1 is missing.  The entries
     read before the first one larger than a_t form the final string s_t.
     """
     last = perm[-1]  # a_t
@@ -273,6 +273,8 @@ def _rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
         elif x == want:  # the leftmost a_t - 1 is read last, and decides
             ptype = 1 if best == last else 2
     maxima.reverse()
+    if last < 1 and ptype:  # no entry <= 0 is a maximum, so best cannot tell the type
+        ptype = perm_type(perm)
     return tuple(maxima), 2 if last == 1 else ptype
 
 

@@ -122,27 +122,29 @@ def check_nodes(nodes: int) -> None:
 # ends in a tree, and once the deficits use up every node left the rest of
 # the tree is forced: a leaf per node left, plus the open node on top if it
 # is a childless non-root 1, so a tree's leaf count is known before it is built.
+# Each open node keeps its head, the tuple (label, *closed children), which a
+# close extends by the closed node's head and its undo cuts back, so a forced
+# tree costs one head + (open child,) + leaves per open node.
 
 _LEAF = (1,)
 
 
 def _complete(frames: list) -> Tree:
     """Close every open node after filling its deficit with leaves."""
-    # a non-root node over more than its label gets no leaves: a tuple
-    # repeated a negative number of times is empty
-    node = None
-    for depth in range(len(frames) - 1, -1, -1):
-        label, total, kids = frames[depth]
-        deficit = label - total if depth == 0 or label > 1 else 0
-        last = () if node is None else (node,)
-        node = (label, *kids, *last, *(_LEAF,) * deficit)
+    # a tuple repeated a negative number of times is empty; below the top every
+    # node counts its open child, so only a childless non-root 1 must get no leaf
+    label, total, node = frames[-1]
+    if label > 1 or len(frames) == 1:
+        node += (_LEAF,) * (label - total)
+    for label, total, head in frames[-2::-1]:
+        node = head + (node,) + (_LEAF,) * (label - total)
     return node
 
 
 def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
     for root in range(1, nodes):
-        # the open nodes, root first: label, children's label sum, children
-        frames = [[root, 0, []]]
+        # the open nodes, root first: label, children's label sum, head
+        frames = [[root, 0, (root,)]]
         root_frame = frames[0]
         left, owed, closed = nodes - 1, root, 0  # nodes to place; total deficit; closed leaves
         trail = []  # the tokens taken, each with what undoes it
@@ -151,11 +153,11 @@ def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
             top = frames[-1]
             if owed == left:
                 if leaves is None or leaves == closed + left + (
-                    top is not root_frame and top == [1, 0, []]
+                    top is not root_frame and top[2] == _LEAF
                 ):
                     yield _complete(frames)
             else:
-                label, total, kids = top
+                label, total, head = top
                 depth = len(frames) - 1
                 if token == 0:
                     token = 1
@@ -165,8 +167,8 @@ def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
                         depth > 1 or root_frame[0] > root_frame[1]
                     ):
                         frames.pop()
-                        frames[-1][2].append((label, *kids))
-                        closed += not kids
+                        frames[-1][2] += (head,)
+                        closed += len(head) == 1
                         trail.append((0, top))
                         token = 0
                         continue
@@ -183,7 +185,7 @@ def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
                 if after >= 0 and new_owed < left:
                     top[1] = total + token
                     trail.append((token, owed))
-                    frames.append([token, 0, []])
+                    frames.append([token, 0, (token,)])
                     left -= 1
                     owed = new_owed
                     token = 0
@@ -193,9 +195,9 @@ def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
                 break
             token, undo = trail.pop()
             if token == 0:
-                frames[-1][2].pop()
+                frames[-1][2] = frames[-1][2][:-1]
                 frames.append(undo)
-                closed -= not undo[2]
+                closed -= len(undo[2]) == 1
             else:
                 frames.pop()
                 frames[-1][1] -= token
@@ -295,8 +297,27 @@ def count_trees(n: int, k: int) -> int:
 
 
 def format_tree(tree: Tree) -> str:
-    """Render a tree as an s-expression, e.g. ``(2 (1) (1))``."""
-    return _fold(tree, lambda label, parts: f"({' '.join([str(label), *parts])})")
+    """Render a tree as an s-expression, in one preorder pass.
+
+    >>> format_tree((2, (1,), (1,)))
+    '(2 (1) (1))'
+    >>> format_tree((2, (2, (1,), (1, (1,)))))
+    '(2 (2 (1) (1 (1))))'
+    """
+    parts = []  # " (label" opens a node, " (label)" is a leaf, ")" closes one
+    stack = [iter((tree,))]  # children left at each open node; root alone first
+    while stack:
+        for node in stack[-1]:
+            if len(node) == 1:
+                parts.append(f" ({node[0]})")
+            else:
+                parts.append(f" ({node[0]}")
+                stack.append(iter(node[1:]))
+                break
+        else:
+            stack.pop()
+            parts.append(")")
+    return "".join(parts)[1:-1]  # drop the leading space and the outer level's close
 
 
 def parse_tree(text: str) -> Tree:

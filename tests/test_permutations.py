@@ -1,6 +1,6 @@
 from collections import Counter
 from enum import IntEnum
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -413,6 +413,24 @@ def test_statistics_and_type_raise_on_the_same_lists(p):
         s = statistics(p)
         assert s.rl_maxima == rl_maxima(p) == tuple(p[i] for i in maxima_at(p))
         assert s.ptype == perm_type(p)
+
+
+def test_statistics_type_is_the_type_on_every_short_int_list():
+    # every list over -3..4 of length <= 4, most of them no permutation;
+    # those ending in an entry < 1 once read type 2 where the type is 1.
+    # The maxima are read on every one of them, typed or not, and an entry
+    # <= 0 is never one.
+    def outcome(read, p):
+        try:
+            return read(p)
+        except ValueError:
+            return ValueError
+
+    for n in range(5):
+        for p in product(range(-3, 5), repeat=n):
+            s = outcome(statistics, p)
+            assert (s if s is ValueError else s.ptype) == outcome(perm_type, p), p
+            assert rl_maxima(p) == tuple(p[i] for i in maxima_at(p) if p[i] > 0)
 
 
 def test_every_permutation_has_exactly_one_type():

@@ -358,11 +358,12 @@ def test_single_leaf_tree_is_the_all_ones_path():
         assert depth == m
 
 
-@pytest.mark.parametrize("nodes", range(2, 10))
+@pytest.mark.parametrize("nodes", range(2, 11))
 def test_stream_equals_materialise_and_sort_oracle(nodes):
+    # 10 nodes is the size the benchmark streams; the leaf filters stop at 9
     expected = materialised_and_sorted(nodes)
     assert list(enumerate_trees(nodes)) == expected
-    for k in range(1, nodes):
+    for k in range(1, nodes) if nodes < 10 else ():
         assert list(enumerate_trees(nodes, k)) == [t for t in expected if leaf_count(t) == k]
 
 
@@ -516,6 +517,14 @@ def test_walkers_match_the_recursive_oracles():
             encoded = recursive_tree_to_json(candidate)
             assert tree_from_json(encoded) == recursive_tree_from_json(encoded) == candidate
             assert leaf_count(candidate) == recursive_leaf_count(candidate)
+
+
+def test_format_tree_matches_the_recursive_oracle_on_nine_nodes():
+    # the trees the benchmark writes, and a copy of each with one label moved
+    for i, tree in enumerate(enumerate_trees(9)):
+        broken = relabeled(tree, i % 9, -1 if i % 2 else 1)
+        assert format_tree(tree) == recursive_format_tree(tree)
+        assert format_tree(broken) == recursive_format_tree(broken)
 
 
 @given(any_tree)
