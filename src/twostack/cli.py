@@ -128,7 +128,7 @@ def _cmd_finv(args) -> int:
 def _count_w_brute(args) -> int:
     counting.check_exhaustive(args.n)
     counting.w_formula(args.n, args.k)  # range check up front
-    return counting.brute_force_w(args.n, args.jobs).row.get(args.k, 0)
+    return counting.brute_force_w(args.n).row.get(args.k, 0)
 
 
 def _count_trees_enum(args) -> int:
@@ -147,7 +147,7 @@ _COUNTERS = {
     ("maps", "formula"): lambda args: counting.planar_map_count(args.f, args.pv),
     ("catalan", "formula"): lambda args: counting.catalan(args.n),
     ("total", "formula"): lambda args: counting.w_total(args.n),
-    ("total", "brute"): lambda args: counting.brute_force_w(args.n, args.jobs).total(),
+    ("total", "brute"): lambda args: counting.brute_force_w(args.n).total(),
 }
 
 #: count target -> (help, the flags it requires)
@@ -288,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, type=int, required=True)
         p.add_argument("--method", choices=methods, default="formula")
-        if "brute" in methods:
-            p.add_argument(
-                "--jobs", type=int, default=1,
-                help=f"worker processes for brute force at n = {counting.MAX_EXHAUSTIVE_N}",
-            )
         p.set_defaults(handler=_cmd_count, parser=p)
 
     p = sub.add_parser("table", help="full W(n, 1..n) row")

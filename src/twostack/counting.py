@@ -7,10 +7,8 @@ be remainder-free, so a transcription slip raises instead of silently
 truncating.  Brute-force counters grow the sortable permutations one first
 entry at a time, admitting only the first entries that West's
 characterisation allows, so no candidate is built and then rejected.
-Levels below the budget are kept once built, and one core reads them; only
-the level at the budget is tallied by worker processes, over slices of the
-level below it that merge by addition, so results do not depend on the
-number of workers.
+Levels below the budget are kept once built; the level at the budget is
+streamed from the one below it.
 """
 
 from __future__ import annotations
@@ -216,21 +214,6 @@ def _two_sortable(n, below):
                 yield (v, *[shift[x] for x in q])
 
 
-def _tally_runs(n, below):
-    """
-    Tally runs over the 2-stack sortable v·q' for q in ``below`` without
-    building them: runs(v·q') = runs(q) + 1 exactly when v > q_1.
-    """
-    row = Counter()
-    for q in below:
-        free = ((2 << n) - 2) & ~_barred(q)  # bits 1..n, less the barred ones
-        up = (free >> (q[0] + 1 if q else n + 1)).bit_count()
-        runs = 1 + descent_count(q)
-        row[runs] += free.bit_count() - up
-        row[runs + 1] += up
-    return +row  # drops the zero counts
-
-
 # _levels[m] holds every 2-stack sortable m-permutation in lexicographic
 # order, built from _levels[m - 1].  Like trees._forests, the table is shared
 # by the whole process and only grows, but two_stack_sortable asks it for no
@@ -277,11 +260,9 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
     Count 2-stack sortable n-permutations by runs, over the exhaustive
-    stream of :func:`two_stack_sortable`.  Below :data:`MAX_EXHAUSTIVE_N`
-    the level is kept, so one core reads it and ``jobs`` is ignored.  At the
-    budget, ``jobs`` > 1 hands slices of the kept sortable (n-1)-permutations
-    to worker processes, which tally the runs without building level n
-    (:func:`_tally_runs`); the merged result is identical for any job count.
+    stream of :func:`two_stack_sortable`: the kept level below
+    :data:`MAX_EXHAUSTIVE_N`, the streamed one at it.  ``jobs`` must be at
+    least 1 and changes nothing; it is accepted for existing callers.
 
     Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
     """
@@ -290,16 +271,7 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     check_exhaustive(n)
-    workers = min(jobs, n) if n == MAX_EXHAUSTIVE_N else 1
-    if workers > 1:
-        import multiprocessing  # here only: it adds about 8 ms to every CLI start
-
-        below = _level(n - 1)
-        parts = [(n, below[w::workers]) for w in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            row = sum(pool.starmap(_tally_runs, parts), Counter())
-    else:
-        row = Counter(1 + descent_count(p) for p in two_stack_sortable(n))
+    row = Counter(1 + descent_count(p) for p in two_stack_sortable(n))
     return CountTable(n, {k: row[k] for k in sorted(row)})
 
 

@@ -4,8 +4,7 @@ operator acting on them.
 
 A permutation is handled as a tuple of the integers 1..n, each appearing
 once; the empty tuple is the (unique) permutation of length 0.  All
-functions are pure and all returned values are immutable, so they are safe
-to share across workers.
+functions are pure and all returned values are immutable.
 
 The text format accepted by :func:`parse_permutation` is base-10 entries
 separated by single spaces or commas, e.g. ``"3 5 2 4 1"`` or
@@ -262,10 +261,10 @@ def _rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
     for no type when a_t != 1 and the entry a_t - 1 is missing.  The entries
     read before the first one larger than a_t form the final string s_t.
     """
-    last = perm[-1]  # a_t
+    last = best = perm[-1]  # a_t, the first maximum read
     want = last - 1
-    maxima: list[int] = []
-    best = ptype = 0
+    maxima = [last]
+    ptype = 0
     for x in reversed(perm):
         if x > best:
             maxima.append(x)
@@ -273,9 +272,15 @@ def _rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
         elif x == want:  # the leftmost a_t - 1 is read last, and decides
             ptype = 1 if best == last else 2
     maxima.reverse()
-    if last < 1 and ptype:  # no entry <= 0 is a maximum, so best cannot tell the type
-        ptype = perm_type(perm)
     return tuple(maxima), 2 if last == 1 else ptype
+
+
+def _typed_rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """:func:`_rl_scan`, raising ValueError where the type is undefined."""
+    maxima, ptype = _rl_scan(perm)
+    if not ptype:
+        raise ValueError(f"type is undefined: {perm[-1] - 1} is missing from {tuple(perm)}")
+    return maxima, ptype
 
 
 def rl_maxima(perm: Sequence[int]) -> tuple[int, ...]:
@@ -312,11 +317,7 @@ def perm_type(perm: Sequence[int]) -> int:
     """
     if not perm:
         raise ValueError("type is undefined for the empty permutation")
-    last = perm[-1]  # a_t
-    if last == 1:
-        return 2
-    # a_t - 1 lies in s_t exactly when no entry after it but a_t exceeds a_t
-    return 1 if max(perm[perm.index(last - 1) + 1 :]) == last else 2
+    return _typed_rl_scan(perm)[1]
 
 
 class Statistics(NamedTuple):
@@ -338,9 +339,7 @@ def statistics(perm: Sequence[int]) -> Statistics:
     """
     if not perm:
         raise ValueError("statistics are undefined for the empty permutation")
-    maxima, ptype = _rl_scan(perm)
-    if not ptype:
-        raise ValueError(f"type is undefined: {perm[-1] - 1} is missing from {tuple(perm)}")
+    maxima, ptype = _typed_rl_scan(perm)
     d = descent_count(perm)
     return Statistics(d, len(perm) - 1 - d, d + 1, maxima, ptype)
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -155,7 +157,7 @@ def test_parser_is_built_once_and_shared(capsys, monkeypatch):
 
 
 def test_cli_import_skips_dataclasses_and_multiprocessing():
-    # each adds several ms to every CLI start; only --jobs > 1 at n = 11 needs multiprocessing
+    # each adds several ms to every CLI start, and no command needs either
     probe = (
         "import sys, twostack.cli; "
         "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))"
@@ -357,20 +359,6 @@ def test_formula_budget_exit_two(capsys, monkeypatch, suite):
     assert err == "error: formula suites are limited to max_n <= 500, got 100000\n"
 
 
-@pytest.mark.parametrize(
-    "argv, jobs",
-    [
-        (["count", "w", "--n", "4", "--k", "2", "--method", "brute", "--jobs", "0"], 0),
-        (["count", "total", "--n", "4", "--method", "brute", "--jobs", "0"], 0),
-    ],
-)
-def test_fewer_than_one_job_exit_two(capsys, argv, jobs):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and f">= 1, got {jobs}" in err
-    assert err.count("\n") == 1
-
-
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--max-n", "20")
     assert code == 0
@@ -438,6 +426,15 @@ MISPLACED = {
     "count-catalan-jobs": (["count", "catalan", "--n", "4", "--jobs", "2"], "--jobs"),
     "count-trees-jobs": (["count", "trees", "--n", "4", "--k", "2", "--jobs", "2"], "--jobs"),
     "verify-jobs": (["verify", "--suite", "catalan", "--jobs", "2"], "--jobs"),
+    # brute force runs on one core, so no target takes a worker count
+    "count-w-brute-jobs": (
+        ["count", "w", "--n", "4", "--k", "2", "--method", "brute", "--jobs", "2"],
+        "--jobs",
+    ),
+    "count-total-brute-jobs": (
+        ["count", "total", "--n", "4", "--method", "brute", "--jobs", "2"],
+        "--jobs",
+    ),
     "count-maps-n": (["count", "maps", "--n", "3", "--f", "2", "--pv", "3"], "--n"),
     "count-total-k": (["count", "total", "--n", "4", "--k", "2"], "--k"),
     "count-w-f-pv": (
@@ -478,6 +475,32 @@ def test_readme_commands_run(capsys):
         # "-> X": X is the output, its lines joined by ", "
         if "->" in comment:
             assert ", ".join(out.splitlines()) == comment.split("->", 1)[1].strip(), command
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of the README's target table names exactly the flags that
+    # target declares, required and optional, apart from -h and --format
+    def subparser(parser, name):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices[name]
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| target | required | optional |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split(" | ") for line in table.splitlines()[1:]]  # past the rule
+    assert len(rows) == 7
+    for target, required, optional in rows:
+        parser = build_parser()
+        for name in target.strip("| `").split():
+            parser = subparser(parser, name)
+        declared = {
+            flag: action.required
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help", "--format")
+        }
+        named = {flag: True for flag in re.findall(r"--[a-z-]+", required)}
+        named.update({flag: False for flag in re.findall(r"--[a-z-]+", optional)})
+        assert named == declared, target
 
 
 def test_json_envelope_is_schema_stable(capsys):

@@ -210,9 +210,8 @@ def test_first_entries_past_the_sweep_match_the_public_predicate(index):
 
 
 def test_count_at_the_budget_matches_the_exhaustive_filter(monkeypatch):
-    # at the budget one core streams level n, and each worker tallies runs
-    # from its slice of level n-1 without building level n; check both
-    # against the n! sweep
+    # at the budget level n is streamed from the kept level n-1, whatever
+    # jobs says; check it against the n! sweep
     for n in range(1, 9):
         sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
         runs = Counter(1 + descent_count(p) for p in sortable)
@@ -284,14 +283,17 @@ def test_brute_force_w_worker_count_does_not_matter():
 
 
 def test_jobs_start_no_pool_below_the_budget(monkeypatch):
-    # below the budget the level is kept, so one core reads it whatever jobs says
+    # one core reads the kept level below the budget and streams the one at
+    # it, whatever jobs says
     def no_pool(*args, **kwargs):
-        raise AssertionError("started a worker pool below the budget")
+        raise AssertionError("started a worker pool")
 
     monkeypatch.setattr("multiprocessing.Pool", no_pool)
     for n in range(1, 9):
         assert brute_force_w(n, jobs=2).row == w_table(n).row
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 7)
+    assert brute_force_w(6, jobs=4).row == w_table(6).row
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 6)
     assert brute_force_w(6, jobs=4).row == w_table(6).row
 
 

@@ -84,7 +84,7 @@ def contains_by_combinations(p, q):
 def maxima_at(p):
     """Independent oracle: the positions of the entries larger than everything
     after them (the right-to-left maxima)."""
-    return [i for i, x in enumerate(p) if x > max(p[i + 1 :], default=0)]
+    return [i for i, x in enumerate(p) if all(x > y for y in p[i + 1 :])]
 
 
 def type_by_split(p):
@@ -418,19 +418,28 @@ def test_statistics_and_type_raise_on_the_same_lists(p):
 def test_statistics_type_is_the_type_on_every_short_int_list():
     # every list over -3..4 of length <= 4, most of them no permutation;
     # those ending in an entry < 1 once read type 2 where the type is 1.
-    # The maxima are read on every one of them, typed or not, and an entry
-    # <= 0 is never one.
+    # The maxima are read on every one of them, typed or not.
     def outcome(read, p):
         try:
             return read(p)
         except ValueError:
             return ValueError
 
+    def type_after_leftmost(p):
+        # independent oracle: type 1 iff nothing after the leftmost a_t - 1
+        # exceeds a_t; index raises where a_t - 1 is missing
+        if not p:
+            raise ValueError
+        if p[-1] == 1:
+            return 2
+        return 1 if max(p[p.index(p[-1] - 1) + 1 :]) == p[-1] else 2
+
     for n in range(5):
         for p in product(range(-3, 5), repeat=n):
             s = outcome(statistics, p)
-            assert (s if s is ValueError else s.ptype) == outcome(perm_type, p), p
-            assert rl_maxima(p) == tuple(p[i] for i in maxima_at(p) if p[i] > 0)
+            ptype = outcome(perm_type, p)
+            assert (s if s is ValueError else s.ptype) == ptype == outcome(type_after_leftmost, p), p
+            assert rl_maxima(p) == tuple(p[i] for i in maxima_at(p))
 
 
 def test_every_permutation_has_exactly_one_type():
