@@ -16,15 +16,14 @@ from itertools import permutations as iter_permutations
 
 from . import counting, trees, verify
 from .permutations import (
+    _passes,
     contains_pattern,
     descent_count,
     format_permutation,
-    identity,
     parse_permutation,
     reduce_type1,
     restore_type1,
     sorting_passes,
-    stack_sort,
     statistics,
 )
 
@@ -40,12 +39,8 @@ def _emit(args, command: str, input_obj, result_obj, text_lines) -> None:
 def _cmd_sort(args) -> int:
     if args.passes < 0:
         raise ValueError("--passes must be >= 0")
-    perm = parse_permutation(args.perm)
-    ident = identity(len(perm))
-    for _ in range(args.passes):
-        if perm == ident:  # a fixed point: further passes change nothing
-            break
-        perm = stack_sort(perm)
+    for perm in _passes(parse_permutation(args.perm), args.passes):
+        pass
     out = format_permutation(perm)
     _emit(args, "sort", {"perm": args.perm, "passes": args.passes}, out, [out])
     return 0

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from math import inf
 from operator import gt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
@@ -99,6 +99,18 @@ def stack_sort(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _passes(perm: Sequence[int], most: int) -> Iterator[tuple[int, ...]]:
+    """``perm``, then up to ``most`` :func:`stack_sort` passes of it, ending at the
+    identity; never more than n, as a permutation of 1..n sorts in n - 1."""
+    cur, ident = tuple(perm), identity(len(perm))
+    for _ in range(min(most, len(cur))):
+        if cur == ident:
+            break
+        yield cur
+        cur = stack_sort(cur)
+    yield cur
+
+
 def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
     """
     True iff ``t`` passes of :func:`stack_sort` take ``perm`` to the
@@ -123,14 +135,8 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
         cur = tuple(perm)
         return (stack_sort(cur) if t else cur) == identity(len(cur))
     if t > 2:
-        # a permutation of 1..n sorts in n - 1 passes and nothing else sorts
-        # in any number, so passes past that change no answer
-        perm = tuple(perm)
-        ident = identity(len(perm))
-        for _ in range(min(t - 2, len(perm))):
-            if perm == ident:
-                return True
-            perm = stack_sort(perm)
+        for perm in _passes(perm, t - 2):
+            pass
     # both stacks stand on an inf that never pops; top1 and top2 are their tops
     first, second = [inf], [inf]
     top1 = top2 = inf
@@ -164,21 +170,20 @@ def sorting_passes(perm: Sequence[int]) -> int:
     >>> sorting_passes((1, 2, 3))
     0
     """
-    cur = tuple(perm)
-    ident = identity(len(cur))
-    for passes in range(len(cur) + 1):
-        if cur == ident:
-            return passes
-        cur = stack_sort(cur)
-    raise ValueError(f"not a permutation of 1..{len(ident)}: {tuple(perm)}")
+    for passes, cur in enumerate(_passes(perm, len(perm))):
+        pass
+    if cur != identity(len(cur)):
+        raise ValueError(f"not a permutation of 1..{len(cur)}: {tuple(perm)}")
+    return passes
 
 
 @lru_cache(maxsize=64)
-def _bounds(patt: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _bounds(patt: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """
     The search plan of :func:`contains_pattern`: for each position of a
     k-pattern, the earlier positions holding the nearest smaller and nearest
-    larger values, with k and k + 1 standing for none.  Costs k^2 steps.
+    larger values, with k and k + 1 standing for none, and the position to
+    back up to when it finds no entry.  Costs k^2 steps.
     """
     k = len(patt)
     values = (*patt, -inf, inf)
@@ -191,7 +196,12 @@ def _bounds(patt: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
             elif x < patt[a] < values[hi]:
                 hi = a
         bounds.append((lo, hi))
-    return tuple(bounds)
+    read = set(chain.from_iterable(bounds))
+    plan, back = [], 0
+    for j, (lo, hi) in enumerate(bounds):
+        plan.append((lo, hi, back))
+        back = j if j in read else back
+    return tuple(plan)
 
 
 def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
@@ -206,7 +216,11 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     entries chosen for the earlier positions holding the nearest smaller
     and nearest larger pattern values.  Those positions are planned once
     per pattern by :func:`_bounds`, whose cache keeps the last 64 plans.
-    The search stops as soon as the last position is filled.
+    The search stops as soon as the last position is filled.  A position no
+    later one reads as a bound holds the earliest entry that fits, and a
+    later entry would only start the rest of the search later, under the
+    same bounds.  So a position that finds no entry backs up past every
+    such position, to the nearest one that is read or to 0.
 
     >>> contains_pattern((3, 5, 2, 4, 1), (2, 3, 1))
     True
@@ -226,14 +240,14 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     # position 0); slots k and k + 1 sit below and above every entry
     chosen = [0] * k + [-inf, inf]
     picked = [0] * k
-    bounds = _bounds(tuple(patt))
+    plan = _bounds(tuple(patt))
 
     last = k - 1
     for first in range(n - last):
         chosen[0] = perm[first]
         j, start = 1, first + 1
         while j:
-            lo, hi = bounds[j]
+            lo, hi, back = plan[j]
             low, high = chosen[lo], chosen[hi]
             for i in range(start, n - last + j):
                 v = perm[i]
@@ -244,7 +258,7 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
                     j, start = j + 1, i + 1
                     break
             else:  # no entry fits position j after the current choices: backtrack
-                j -= 1
+                j = back
                 start = picked[j] + 1
     return False
 

@@ -39,10 +39,16 @@ def test_sort_passes_stop_at_the_identity(capsys, monkeypatch):
         calls.append(perm)
         return stack_sort(perm)
 
-    monkeypatch.setattr("twostack.cli.stack_sort", counting_sort)
+    monkeypatch.setattr("twostack.permutations.stack_sort", counting_sort)
     code, out, _ = run(capsys, "sort", "2 1", "--passes", "1000000000")
     assert (code, out) == (0, "1 2\n")
     assert len(calls) <= 2
+    # no more than n passes are ever made, so only a longer input shows the stop
+    calls.clear()
+    reverse = " ".join(map(str, range(300, 0, -1)))
+    code, out, _ = run(capsys, "sort", reverse, "--passes", "1000000000")
+    assert (code, out) == (0, " ".join(map(str, range(1, 301))) + "\n")
+    assert calls == [tuple(range(300, 0, -1))]  # one pass sorts it; the identity takes none
 
 
 def test_sortable_witness_yes(capsys):

@@ -2,6 +2,7 @@ from collections import Counter
 from enum import IntEnum
 from itertools import combinations, permutations, product
 from math import factorial
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -79,6 +80,47 @@ def contains_by_combinations(p, q):
     of q's values, comes out ascending."""
     order = sorted(range(len(q)), key=q.__getitem__)
     return any(sorted(sub) == [sub[i] for i in order] for sub in combinations(p, len(q)))
+
+
+def avoiding_231(n, rng):
+    """A 231-avoider of 1..n: push 1..n in order through one stack, popping at
+    random, and invert the output; the outputs of a stack avoid 312, and a
+    permutation avoids 231 exactly when its inverse avoids 312."""
+    out, stack = [], []
+    for v in range(1, n + 1):
+        stack.append(v)
+        while stack and rng.random() < 0.5:
+            out.append(stack.pop())
+    out += reversed(stack)
+    inverse = [0] * n
+    for i, v in enumerate(out, 1):
+        inverse[v - 1] = i
+    return tuple(inverse)
+
+
+class CountedReads(tuple):
+    """A tuple that counts how often its entries are read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def read_positions(q):
+    """Independent oracle for the plan: the positions of ``q`` that some later
+    position bounds itself by, i.e. that hold the nearest smaller or the
+    nearest larger value among the positions before it."""
+    read = set()
+    for m in range(1, len(q)):
+        smaller = [a for a in range(m) if q[a] < q[m]]
+        larger = [a for a in range(m) if q[a] > q[m]]
+        if smaller:
+            read.add(max(smaller, key=q.__getitem__))
+        if larger:
+            read.add(min(larger, key=q.__getitem__))
+    return read
 
 
 def maxima_at(p):
@@ -319,6 +361,8 @@ def test_contains_pattern_takes_patterns_longer_than_the_recursion_limit():
         (1,), (2, 1), (2, 3, 1), (1, 3, 2, 4),
         (1, 2), (1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1),
         (2, 4, 1, 5, 3), (3, 1, 4, 6, 2, 5),  # as long as the longest inputs: k = n
+        # with the above, every pattern of length 3 and 4
+        *(q for q in permutations(range(1, 5)) if q != (1, 3, 2, 4)),
     ],
 )
 def test_contains_pattern_matches_combinations_oracle(q):
@@ -333,6 +377,43 @@ def test_contains_pattern_matches_combinations_oracle(q):
 @example(identity(40), identity(5))
 def test_contains_pattern_matches_combinations_oracle_on_long_inputs(p, q):
     assert contains_pattern(p, q) == contains_by_combinations(p, q)
+
+
+@pytest.mark.parametrize(
+    "q, back",
+    [((2, 3, 1), (0, 0, 0)), ((1, 2, 3), (0, 0, 1)), ((3, 5, 2, 4, 1), (0, 0, 1, 2, 2))],
+)
+def test_pattern_plan_backs_up_to_the_nearest_position_read(q, back):
+    # 231: the 3 is never a bound, so a failed 1 backs up to the 2
+    assert tuple(b for _, _, b in _bounds(q)) == back
+
+
+def test_pattern_plan_backs_up_past_exactly_the_unread_positions():
+    for k in range(1, 7):
+        for q in permutations(range(1, k + 1)):
+            read = read_positions(q)
+            expected = [max((a for a in read if a < j), default=0) for j in range(k)]
+            assert [b for _, _, b in _bounds(q)] == expected, q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(100, 400), st.randoms(use_true_random=False), st.booleans())
+def test_contains_231_iff_one_pass_does_not_sort_on_long_avoiders(n, rng, swap):
+    p = avoiding_231(n, rng)
+    if swap:  # swapping two neighbours makes a 231 about half the time
+        i = rng.randrange(n - 1)
+        p = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
+    assert contains_pattern(p, (2, 3, 1)) == (stack_sort(p) != identity(n))
+
+
+def test_avoiding_231_costs_at_most_n_squared_reads():
+    # a 231-avoider makes the search exhaustive; the identity is the case where
+    # retrying the middle position would cost about n^3 / 6 reads
+    n = 200
+    for p in (identity(n), avoiding_231(n, Random(n)), identity(n)[::-1]):
+        counted = CountedReads(p)
+        assert not contains_pattern(counted, (2, 3, 1))
+        assert counted.reads <= n * n
 
 
 def test_one_pass_sortable_iff_avoids_231_exhaustive():
