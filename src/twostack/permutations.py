@@ -186,6 +186,8 @@ def _bounds(patt: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     back up to when it finds no entry.  Costs k^2 steps.
     """
     k = len(patt)
+    if len(set(patt)) < k:
+        raise ValueError(f"pattern values must be distinct, got {patt}")
     values = (*patt, -inf, inf)
     bounds = []
     for j, x in enumerate(patt):
@@ -220,7 +222,8 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     later one reads as a bound holds the earliest entry that fits, and a
     later entry would only start the rest of the search later, under the
     same bounds.  So a position that finds no entry backs up past every
-    such position, to the nearest one that is read or to 0.
+    such position, to the nearest one that is read or to 0.  A pattern
+    with a repeated value raises ValueError, whatever ``perm`` is.
 
     >>> contains_pattern((3, 5, 2, 4, 1), (2, 3, 1))
     True
@@ -230,6 +233,7 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     k = len(patt)
     if k < 1:
         raise ValueError("pattern must be nonempty")
+    plan = _bounds(tuple(patt))
     n = len(perm)
     if k > n:
         return False
@@ -240,7 +244,6 @@ def contains_pattern(perm: Sequence[int], patt: Sequence[int]) -> bool:
     # position 0); slots k and k + 1 sit below and above every entry
     chosen = [0] * k + [-inf, inf]
     picked = [0] * k
-    plan = _bounds(tuple(patt))
 
     last = k - 1
     for first in range(n - last):

@@ -179,26 +179,22 @@ def _suite_catalan(max_n: int) -> list[Check]:
 def _suite_lemma1(max_n: int) -> list[Check]:
     checks = []
     for n in range(2, max_n + 1):
-        reduced = {}  # type-1 p -> reduce_type1(p)
-        type2 = 0
+        type1 = type2 = bad_round = bad_desc = bad_rl = 0
         for p in permutations(range(1, n + 1)):
-            if perm_type(p) == 1:
-                reduced[p] = reduce_type1(p)
-            else:
+            if perm_type(p) != 1:
                 type2 += 1
-        checks.append(
-            Check(f"type-1/type-2 partition, n={n}", factorial(n), len(reduced) + type2)
-        )
-
-        pairs = reduced.items()
-        bad_round = sum(restore_type1(mp) != p for p, mp in pairs)
-        bad_desc = sum(descent_count(mp.perm) != descent_count(p) for p, mp in pairs)
-        bad_rl = sum(len(rl_maxima(mp.perm)) < len(rl_maxima(p)) for p, mp in pairs)
+                continue
+            mp = reduce_type1(p)
+            type1 += 1
+            bad_round += restore_type1(mp) != p
+            bad_desc += descent_count(mp.perm) != descent_count(p)
+            bad_rl += len(rl_maxima(mp.perm)) < len(rl_maxima(p))
+        checks.append(Check(f"type-1/type-2 partition, n={n}", factorial(n), type1 + type2))
         checks.append(Check(f"restore(reduce(p)) = p on type-1, n={n}", 0, bad_round))
         checks.append(Check(f"descents preserved on type-1, n={n}", 0, bad_desc))
         checks.append(Check(f"rl maxima never decrease on type-1, n={n}", 0, bad_rl))
 
-        sortable_images = [reduced[p] for p in counting.two_stack_sortable(n) if p in reduced]
+        sortable_images = [reduce_type1(p) for p in counting.two_stack_sortable(n) if perm_type(p) == 1]
         image = set(sortable_images)
         target = {
             MarkedPermutation(q, r)
@@ -208,11 +204,11 @@ def _suite_lemma1(max_n: int) -> list[Check]:
         checks.append(Check(f"injective on sortable type-1, n={n}", len(sortable_images), len(image)))
         checks.append(Check(f"image is all marked sortable, n={n}", 0, len(image ^ target)))
 
-        marked = [
+        marked = (
             MarkedPermutation(q, r)
             for q in permutations(range(1, n))
             for r in range(1, len(rl_maxima(q)) + 1)
-        ]
+        )
         bad_reverse = sum(reduce_type1(restore_type1(mp)) != mp for mp in marked)
         checks.append(Check(f"reduce(restore(mp)) = mp, length {n - 1}", 0, bad_reverse))
     return checks

@@ -277,9 +277,9 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
 
 
 def test_brute_force_w_worker_count_does_not_matter():
-    for n in (1, 2, 5, 6):
-        assert brute_force_w(n, jobs=2) == brute_force_w(n, jobs=1)
-    assert brute_force_w(6, jobs=12) == brute_force_w(6)
+    # oracle: the factorial quotient
+    for n, jobs in [(1, 2), (2, 2), (5, 2), (6, 2), (6, 12)]:
+        assert brute_force_w(n, jobs=jobs).row == {k: _w_oracle(n, k) for k in range(1, n + 1)}
 
 
 def test_jobs_start_no_pool_below_the_budget(monkeypatch):

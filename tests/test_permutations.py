@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from enum import IntEnum
 from itertools import combinations, permutations, product
@@ -333,6 +334,19 @@ def test_contains_pattern_rejects_empty_pattern_before_planning():
     with pytest.raises(ValueError, match="pattern must be nonempty"):
         contains_pattern((1, 2), ())
     assert _bounds.cache_info() == before
+
+
+@pytest.mark.parametrize(
+    "perm, patt",
+    [((1, 2, 3), (1, 1)), ((3, 2, 1), (2, 2, 1)), ((1,), (1, 1)), ((4, 1, 3, 2), (3, 1, 3))],
+)
+def test_contains_pattern_rejects_repeated_pattern_values(perm, patt):
+    # no two entries of a permutation match equal pattern values; a pattern
+    # longer than perm is refused too, not answered False
+    with pytest.raises(ValueError, match=re.escape(f"must be distinct, got {patt}")):
+        contains_pattern(perm, patt)
+    with pytest.raises(ValueError, match="distinct"):
+        _bounds(patt)
 
 
 def test_pattern_plans_are_kept_in_a_bounded_cache():

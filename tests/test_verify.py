@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from twostack import verify
+from twostack.counting import brute_force_w
+from twostack.permutations import MarkedPermutation, reduce_type1, restore_type1
 from twostack.verify import SUITE_DEFAULTS, SUITE_NAMES, Check, SuiteReport, run_suite
 
 # suites are exercised at reduced bounds here to stay quick; the acceptance
@@ -95,3 +99,51 @@ def test_budget_boundary_follows_the_constant(monkeypatch):
     assert run_suite("tree-vs-perm", 5).passed
     with pytest.raises(ValueError, match="limited to 6 nodes"):
         run_suite("tree-vs-perm", 6)
+
+
+def wrong_on(real, bad_input, bad_output):
+    """``real``, except that it returns ``bad_output`` for ``bad_input``."""
+    return lambda x: bad_output if x == bad_input else real(x)
+
+
+def failures(report):
+    return [tuple(c) for c in report.failures]
+
+
+def test_lemma1_counts_a_reduction_gone_wrong(monkeypatch):
+    # (3, 1, 2) has 1 descent and 2 rl maxima and reduces to ((2, 1), 2);
+    # sent to (1, 2)'s mark instead, it breaks every check at n = 3 but the
+    # partition, each once, and loses one sortable image
+    bad = MarkedPermutation((1, 2), 1)
+    monkeypatch.setattr(verify, "reduce_type1", wrong_on(reduce_type1, (3, 1, 2), bad))
+    assert failures(run_suite("lemma1", 4)) == [
+        ("restore(reduce(p)) = p on type-1, n=3", 0, 1),
+        ("descents preserved on type-1, n=3", 0, 1),
+        ("rl maxima never decrease on type-1, n=3", 0, 1),
+        ("injective on sortable type-1, n=3", 3, 2),
+        ("image is all marked sortable, n=3", 0, 1),
+        ("reduce(restore(mp)) = mp, length 2", 0, 1),
+    ]
+
+
+def test_lemma1_counts_a_restoration_gone_wrong(monkeypatch):
+    wrong = wrong_on(restore_type1, MarkedPermutation((2, 1), 2), (2, 1, 3))
+    monkeypatch.setattr(verify, "restore_type1", wrong)
+    assert failures(run_suite("lemma1", 4)) == [
+        ("restore(reduce(p)) = p on type-1, n=3", 0, 1),
+        ("reduce(restore(mp)) = mp, length 2", 0, 1),
+    ]
+
+
+def test_lemma1_keeps_no_reduction_per_permutation():
+    # the suite streams its n! sweeps: with the sortable levels already
+    # built, n = 7 peaks at about 0.32 MiB, and keeping every type-1
+    # reduction and every marked 6-permutation would take it to 0.8 MiB
+    brute_force_w(7)
+    tracemalloc.start()
+    try:
+        assert run_suite("lemma1", 7).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2**20
