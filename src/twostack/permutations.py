@@ -54,6 +54,9 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     """
     tokens = text.replace(",", " ").split()
     try:
+        # int() would also take "_" digit groups and non-ASCII digits
+        if "_" in text or not all(map(str.isascii, tokens)):
+            raise ValueError
         entries = [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"not a sequence of integers: {text!r}") from None
@@ -294,6 +297,8 @@ def _rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 def _typed_rl_scan(perm: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """:func:`_rl_scan`, raising ValueError where the type is undefined."""
+    if not perm:
+        raise ValueError("type is undefined for the empty permutation")
     maxima, ptype = _rl_scan(perm)
     if not ptype:
         raise ValueError(f"type is undefined: {perm[-1] - 1} is missing from {tuple(perm)}")
@@ -332,8 +337,6 @@ def perm_type(perm: Sequence[int]) -> int:
     >>> perm_type((1,))
     2
     """
-    if not perm:
-        raise ValueError("type is undefined for the empty permutation")
     return _typed_rl_scan(perm)[1]
 
 
@@ -391,11 +394,12 @@ def reduce_type1(perm: Sequence[int]) -> MarkedPermutation:
     MarkedPermutation(perm=(2, 1), mark_rank=1)
     """
     perm = tuple(perm)
-    if perm_type(perm) != 1:
+    maxima, ptype = _typed_rl_scan(perm)
+    if ptype != 1:
         raise ValueError(f"not a type-1 permutation: {perm}")
     last = perm[-1]
     shrunk = tuple([x - 1 if x > last else x for x in perm[:-1]])
-    return MarkedPermutation(shrunk, rl_maxima(shrunk).index(last - 1) + 1)
+    return MarkedPermutation(shrunk, len(maxima))
 
 
 def restore_type1(marked: tuple[Sequence[int], int]) -> tuple[int, ...]:

@@ -33,26 +33,14 @@ Tree = tuple  # (label, *children), recursively
 MAX_NODES = 48
 
 
-def _fold(tree: Tree, combine):
-    """``combine(label, the children's results)`` bottom-up; a leaf takes no stack entry."""
-    stack = [(None, iter((tree,)), [])]  # label, children left, results; root alone first
-    while True:
-        label, rest, done = stack[-1]
-        for child in rest:
-            if len(child) == 1:
-                done.append(combine(child[0], []))
-            else:
-                stack.append((child[0], iter(child[1:]), []))
-                break
-        else:
-            stack.pop()
-            if not stack:
-                return done[0]
-            stack[-1][2].append(combine(label, done))
-
-
 def leaf_count(tree: Tree) -> int:
-    return _fold(tree, lambda label, leaves: sum(leaves) or 1)
+    leaves = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        stack += node[1:]
+        leaves += len(node) == 1
+    return leaves
 
 
 def _label(node) -> int:
@@ -113,79 +101,68 @@ def check_nodes(nodes: int) -> None:
 # ascending nested-tuple order and nothing needs sorting.
 #
 # An open node's deficit is the number of leaves it still needs below it:
-# its label minus its children's label sum (exactly, for the root; none
-# for a non-root node labeled 1, which may stay a leaf).  Each unit of
-# deficit costs at least one more node, so a branch is entered only if
-# the deficits fit in the nodes left.  Nodes beyond the deficits can be
-# padded in as a chain of 1s below any open non-root node, or below a root
-# that still has a deficit, and nowhere else.  Every branch entered thus
-# ends in a tree, and once the deficits use up every node left the rest of
-# the tree is forced: a leaf per node left, plus the open node on top if it
-# is a childless non-root 1, so a tree's leaf count is known before it is built.
-# Each open node keeps its head, the tuple (label, *closed children), which a
-# close extends by the closed node's head and its undo cuts back, so a forced
-# tree costs one head + (open child,) + leaves per open node.
+# its label minus its children's label sum, exactly for the root and
+# clipped at 0 below it (a non-root 1 may stay a leaf, so it owes none).
+# Each unit of deficit costs at least one more node, so a branch is entered
+# only if the deficits fit in the nodes left.  Nodes beyond the deficits
+# can be padded in as a chain of 1s below any open non-root node, or below
+# a root that still has a deficit, and nowhere else.  Every branch entered
+# thus ends in a tree, and once the deficits use up every node left the
+# rest of the tree is forced: a leaf per node left, plus the open node on
+# top if it is a childless non-root 1, so a tree's leaf count is known
+# before it is built.  Each open node's frame keeps its deficit and its
+# head, the tuple (label, *closed children), which a close extends by the
+# closed node's head and its undo cuts back, so a forced tree costs one
+# head + (open child,) + leaves per open node.
 
 _LEAF = (1,)
 
 
 def _complete(frames: list) -> Tree:
     """Close every open node after filling its deficit with leaves."""
-    # a tuple repeated a negative number of times is empty; below the top every
-    # node counts its open child, so only a childless non-root 1 must get no leaf
-    label, total, node = frames[-1]
-    if label > 1 or len(frames) == 1:
-        node += (_LEAF,) * (label - total)
-    for label, total, head in frames[-2::-1]:
-        node = head + (node,) + (_LEAF,) * (label - total)
+    need, node = frames[-1]
+    node += (_LEAF,) * need
+    for need, head in frames[-2::-1]:
+        node = head + (node,) + (_LEAF,) * need
     return node
 
 
 def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
     for root in range(1, nodes):
-        # the open nodes, root first: label, children's label sum, head
-        frames = [[root, 0, (root,)]]
+        frames = [[root, (root,)]]  # the open nodes, root first: deficit, head
         root_frame = frames[0]
         left, owed, closed = nodes - 1, root, 0  # nodes to place; total deficit; closed leaves
-        trail = []  # the tokens taken, each with what undoes it
+        trail = []  # per token taken, what undoes it: (0, closed frame, 0) or (c, owed, deficit)
         token = 0  # the next token to try: 0 closes, c > 0 opens a child labeled c
         while True:
             top = frames[-1]
             if owed == left:
                 if leaves is None or leaves == closed + left + (
-                    top is not root_frame and top[2] == _LEAF
+                    top is not root_frame and top[1] == _LEAF
                 ):
                     yield _complete(frames)
             else:
-                label, total, head = top
+                need, head = top
                 depth = len(frames) - 1
                 if token == 0:
                     token = 1
                     # a closed node owes nothing, so owed < left still; the
                     # spare nodes need an open non-root node or root deficit
-                    if depth and (label == 1 or total >= label) and (
-                        depth > 1 or root_frame[0] > root_frame[1]
-                    ):
+                    if depth and not need and (depth > 1 or root_frame[0]):
                         frames.pop()
-                        frames[-1][2] += (head,)
+                        frames[-1][1] += (head,)
                         closed += len(head) == 1
-                        trail.append((0, top))
+                        trail.append((0, top, 0))
                         token = 0
                         continue
-                if depth == 0:
-                    before = label - total
-                    after = before - token
-                elif label == 1:
-                    before = after = 0
-                else:
-                    before = label - total if label > total else 0
-                    after = before - token if before > token else 0
-                new_owed = owed - before + after + (token if token > 1 else 0)
+                after = need - token if need > token or not depth else 0  # clipped below the root
+                owes = token if token > 1 else 0
+                new_owed = owed - need + after + owes
                 # a larger label owes no less, so the first misfit ends the node
                 if after >= 0 and new_owed < left:
-                    top[1] = total + token
-                    trail.append((token, owed))
-                    frames.append([token, 0, (token,)])
+                    top[0] = after
+                    trail.append((token, owed, need))  # clipping loses the old deficit
+                    frames.append([owes, (token,)])
                     left -= 1
                     owed = new_owed
                     token = 0
@@ -193,14 +170,14 @@ def _canonical_trees(nodes: int, leaves: int | None) -> Iterator[Tree]:
             # undo the last token and try the one after it
             if not trail:
                 break
-            token, undo = trail.pop()
+            token, undo, need = trail.pop()
             if token == 0:
-                frames[-1][2] = frames[-1][2][:-1]
+                frames[-1][1] = frames[-1][1][:-1]
                 frames.append(undo)
-                closed -= len(undo[2]) == 1
+                closed -= len(undo[1]) == 1
             else:
                 frames.pop()
-                frames[-1][1] -= token
+                frames[-1][0] = need
                 left += 1
                 owed = undo
             token += 1
@@ -359,7 +336,16 @@ def parse_tree(text: str) -> Tree:
 
 def tree_to_json(tree: Tree) -> dict:
     """Encode as nested ``{"label": ..., "children": [...]}`` objects."""
-    return _fold(tree, lambda label, children: {"label": label, "children": children})
+    root = {"label": tree[0], "children": []}
+    stack = [(tree, root["children"])]  # a node, and the list its children's objects go in
+    while stack:
+        node, children = stack.pop()
+        for child in node[1:]:
+            obj = {"label": child[0], "children": []}
+            children.append(obj)
+            if len(child) > 1:
+                stack.append((child, obj["children"]))
+    return root
 
 
 def tree_from_json(obj: dict) -> Tree:

@@ -77,6 +77,10 @@ def test_sortable_rejects_negative_passes(capsys):
     assert (code, out, err) == (2, "", "error: number of passes must be >= 0\n")
 
 
+def test_sort_rejects_negative_passes(capsys):
+    assert run(capsys, "sort", "2 1", "--passes", "-1") == (2, "", "error: --passes must be >= 0\n")
+
+
 def test_stats_text(capsys):
     code, out, _ = run(capsys, "stats", "3 1 2")
     assert code == 0
@@ -228,6 +232,12 @@ def test_enumerate_perms_runs_out_of_range_exit_two(capsys, monkeypatch, argv, b
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: --runs must be in 1..{bound}, got {runs}\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["--filter", "2ss"]], ids=["all", "2ss"])
+def test_enumerate_perms_rejects_negative_n(capsys, argv):
+    code, out, err = run(capsys, "enumerate", "perms", "--n", "-1", *argv)
+    assert (code, out, err) == (2, "", "error: --n must be >= 0\n")
 
 
 def test_enumerate_perms_runs_of_the_empty_permutation(capsys):
@@ -393,6 +403,22 @@ def test_invalid_permutation_exit_two(capsys):
     code, _, err = run(capsys, "sort", "1 1 2")
     assert code == 2
     assert err.startswith("error:")
+    text = "2 1_0 3 4 5 6 7 8 9 1"  # int() alone would read 1_0 as 10
+    code, out, err = run(capsys, "sort", text)
+    assert (code, out, err) == (2, "", f"error: not a sequence of integers: {text!r}\n")
+
+
+def test_broken_pipe_while_printing_exits_zero(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["enumerate", "perms", "--n", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_flag_rejected(capsys):

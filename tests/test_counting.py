@@ -94,6 +94,12 @@ def test_w_formula_domain_errors():
             w_formula(n, k)
 
 
+def test_exact_div_rejects_a_remainder():
+    assert counting._exact_div(6, 2) == 3
+    with pytest.raises(ArithmeticError, match="7 / 2"):
+        counting._exact_div(7, 2)
+
+
 def test_w_total_frozen():
     assert [w_total(n) for n in range(1, 10)] == TOTALS
     with pytest.raises(ValueError):
@@ -371,6 +377,11 @@ def test_joint_distribution_trees_frozen():
 def test_joint_distributions_agree():
     for n in range(1, 6):
         assert joint_distribution_perms(n) == joint_distribution_trees(n)
+
+
+def test_two_stack_sortable_rejects_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        two_stack_sortable(-1)
 
 
 def test_joint_distribution_domain_errors():

@@ -174,6 +174,7 @@ def test_parse_permutation_spaces_and_commas():
     assert parse_permutation("3 5 2 4 1") == (3, 5, 2, 4, 1)
     assert parse_permutation("3,5,2,4,1") == (3, 5, 2, 4, 1)
     assert parse_permutation("") == ()
+    assert parse_permutation("+2,1") == (2, 1)
 
 
 def test_parse_permutation_rejects_junk():
@@ -181,6 +182,12 @@ def test_parse_permutation_rejects_junk():
         parse_permutation("1 2 x")
     with pytest.raises(ValueError):
         parse_permutation("2 2 1")
+    with pytest.raises(ValueError, match="not a permutation"):
+        parse_permutation("-1 1")
+    # int() alone would read digit groups and non-ASCII digits
+    for text in ("2 1_0 3 4 5 6 7 8 9 1", "1_0", "\u0662 \u0661", "\uff12 1"):
+        with pytest.raises(ValueError, match="not a sequence of integers"):
+            parse_permutation(text)
 
 
 def test_is_permutation():
@@ -450,9 +457,9 @@ def test_statistics_frozen_examples():
 
 
 def test_statistics_requires_nonempty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="statistics are undefined for the empty"):
         statistics(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="type is undefined for the empty"):
         perm_type(())
 
 
