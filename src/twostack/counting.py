@@ -7,8 +7,9 @@ be remainder-free, so a transcription slip raises instead of silently
 truncating.  Brute-force counters grow the sortable permutations one first
 entry at a time, admitting only the first entries that West's
 characterisation allows, so no candidate is built and then rejected.
-Levels below the budget are kept once built; the level at the budget is
-streamed from the one below it.
+Levels below the budget are kept once built, with the descents and
+right-to-left maxima of every permutation, which the counters read instead
+of rescanning; the level at the budget is streamed from the one below it.
 """
 
 from __future__ import annotations
@@ -17,23 +18,22 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb
 from typing import Iterator, NamedTuple
 
 from . import trees
-from .permutations import descent_count, rl_maxima
 
 #: The largest n that the exhaustive counters accept.  Levels below it are
 #: kept once built (:func:`two_stack_sortable`); after n = 10 they hold 39 MB
-#: and the process 55 MB.  At n = 11 (2-core VM, Python 3.11) the top level is
+#: and the process 56 MB.  At n = 11 (2-core VM, Python 3.11) the top level is
 #: streamed from the kept levels, only the admitted first entries of each
-#: sortable (n-1)-permutation: a cold :func:`brute_force_w` takes about 7 s at
-#: 56 MB, and ``twostack enumerate perms --filter 2ss`` prints it in about
-#: 14 s; without ``--filter`` that command scans all n! permutations in 45 s;
-#: ``twostack count trees --method enum`` lists the trees on n+1 nodes in
-#: minutes.  Each step up multiplies the sortable ones by about 5.5 (n+1 for
-#: the scan).
+#: sortable (n-1)-permutation: a cold :func:`brute_force_w` takes 4-5 s at
+#: 58 MB, counting from level 10's statistics, and ``twostack enumerate perms
+#: --filter 2ss`` prints it in 10-15 s; without ``--filter`` that command
+#: scans all n! permutations in 45 s; ``twostack count trees --method enum``
+#: lists the trees on n+1 nodes in minutes.  Each step up multiplies the
+#: sortable ones by about 5.5 (n+1 for the scan).
 MAX_EXHAUSTIVE_N = 11
 
 
@@ -200,32 +200,68 @@ def _barred(q):
     return mask
 
 
-def _two_sortable(n, below):
+def _admitted(n: int, below: tuple) -> Iterator[tuple[int, bytes, Iterator[int], Iterator[int]]]:
     """
-    Yield each 2-stack sortable v·q', for v in 1..n and q in ``below``, where
-    q' is q with its entries >= v raised by 1; lexicographic if ``below`` is.
+    For each first entry v in 1..n, yield (v, keep, descents, maxima): keep[i]
+    says whether v·q' is 2-stack sortable for the i-th q of the level
+    ``below``, where q' is q with its entries >= v raised by 1, and descents
+    and maxima iterate over the statistics of the kept v·q', in order.
+
+    Raising keeps q's order, so q' has q's descents and maxima; the one new
+    pair (v, q'_1) descends exactly when v > q_1, and v is a right-to-left
+    maximum exactly when it exceeds all of q', that is when v = n.
     """
-    barred = array("H", map(_barred, below))  # a list of ints is 7 MB more at n = 11
+    perms, below_descents, below_maxima = below
+    # bits 0..7 and 8..15 of each q's mask, a byte each, so that keep is one
+    # bytes.translate per v: a list of bools would be 2 MB per v at n = 11
+    low, high = bytearray(), bytearray()
+    for bad in map(_barred, perms):
+        low.append(bad & 255)
+        high.append(bad >> 8)
+    rises = array("B", (d + 1 for d in below_descents))
     for v in range(1, n + 1):
-        bit = 1 << v
+        masks, bit = (low, 1 << v) if v < 8 else (high, 1 << v - 8)
+        keep = masks.translate(bytes(not byte & bit for byte in range(256)))
+        # below is lexicographic, so the q with q_1 < v come first; () has no q_1
+        split = bisect_left(perms, (v,)) if perms[0] else 0
+        descents = compress(rises[:split] + below_descents[split:], keep)
+        maxima = compress(below_maxima, keep)
+        yield v, keep, descents, (r + 1 for r in maxima) if v == n else maxima
+
+
+def _two_sortable(
+    n: int, below: tuple, descents: array | None = None, maxima: array | None = None
+) -> Iterator[tuple[int, ...]]:
+    """
+    Yield each 2-stack sortable v·q' that :func:`_admitted` keeps, v-major,
+    so lexicographic if ``below`` is; given the two arrays, extend them
+    with the statistics of what it yields.
+    """
+    for v, keep, block_descents, block_maxima in _admitted(n, below):
+        if descents is not None:
+            descents.extend(block_descents)
+            maxima.extend(block_maxima)
         shift = tuple(x + (x >= v) for x in range(n))
-        for q, bad in zip(below, barred):
-            if not bad & bit:
-                yield (v, *[shift[x] for x in q])
+        for q in compress(below[0], keep):
+            yield (v, *[shift[x] for x in q])
 
 
-# _levels[m] holds every 2-stack sortable m-permutation in lexicographic
-# order, built from _levels[m - 1].  Like trees._forests, the table is shared
-# by the whole process and only grows, but two_stack_sortable asks it for no
-# level at or past MAX_EXHAUSTIVE_N.
-_levels: list[tuple] = [((),)]
+# _levels[m] is (perms, descents, maxima): every 2-stack sortable
+# m-permutation in lexicographic order, and two arrays with the descents and
+# right-to-left maxima of each at its index, built from _levels[m - 1].
+# Like trees._forests, the table is shared by the whole process and only
+# grows, but two_stack_sortable asks it for no level at or past
+# MAX_EXHAUSTIVE_N.
+_levels: list[tuple[tuple, array, array]] = [(((),), array("B", [0]), array("B", [0]))]
 _levels_lock = threading.Lock()
 
 
-def _level(m: int) -> tuple:
+def _level(m: int) -> tuple[tuple, array, array]:
     with _levels_lock:
         for size in range(len(_levels), m + 1):
-            _levels.append(tuple(_two_sortable(size, _levels[-1])))
+            descents, maxima = array("B"), array("B")
+            perms = tuple(_two_sortable(size, _levels[-1], descents, maxima))
+            _levels.append((perms, descents, maxima))
     return _levels[m]
 
 
@@ -239,8 +275,9 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     level n is grown from level n-1: each first entry v in front of each
     sortable (n-1)-permutation q raised by 1 at >= v, for the v that one
     scan of q admits (:func:`_barred`); no candidate is built and rejected.
-    Levels below the budget are built once per process and kept as tuples;
-    the level at the budget is streamed from the kept one below it, so the
+    Levels below the budget are built once per process and kept as tuples,
+    with the descents and right-to-left maxima of each permutation; the
+    level at the budget is streamed from the kept one below it, so the
     table never holds more than n = 11 needs: 39 MB, nearly all of it
     level 10.
 
@@ -253,16 +290,33 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"need n >= 0, got {n}")
     check_exhaustive(n)
     if n < MAX_EXHAUSTIVE_N:
-        return iter(_level(n))
+        return iter(_level(n)[0])
     return _two_sortable(n, _level(n - 1))
+
+
+def _tally(n: int) -> Counter:
+    """
+    {(descents, maxima): count} over the 2-stack sortable n-permutations,
+    read off the kept level, or at the budget streamed by :func:`_admitted`
+    from the level below it without building any n-permutation.
+    """
+    check_exhaustive(n)
+    if n < MAX_EXHAUSTIVE_N:
+        _, descents, maxima = _level(n)
+        return Counter(zip(descents, maxima))
+    tally = Counter()
+    for _, _, descents, maxima in _admitted(n, _level(n - 1)):
+        tally.update(zip(descents, maxima))
+    return tally
 
 
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
-    Count 2-stack sortable n-permutations by runs, over the exhaustive
-    stream of :func:`two_stack_sortable`: the kept level below
-    :data:`MAX_EXHAUSTIVE_N`, the streamed one at it.  ``jobs`` must be at
-    least 1 and changes nothing; it is accepted for existing callers.
+    Count 2-stack sortable n-permutations by runs (descents + 1), over the
+    statistics that :func:`two_stack_sortable`'s levels carry: the kept level
+    below :data:`MAX_EXHAUSTIVE_N`, the level below it at the budget.
+    ``jobs`` must be at least 1 and changes nothing; it is accepted for
+    existing callers.
 
     Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
     """
@@ -270,8 +324,9 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    check_exhaustive(n)
-    row = Counter(1 + descent_count(p) for p in two_stack_sortable(n))
+    row = Counter()
+    for (d, _), count in _tally(n).items():
+        row[d + 1] += count
     return CountTable(n, {k: row[k] for k in sorted(row)})
 
 
@@ -285,7 +340,7 @@ def joint_distribution_perms(n: int) -> Counter:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Counter((1 + descent_count(p), len(rl_maxima(p))) for p in two_stack_sortable(n))
+    return Counter({(d + 1, r): count for (d, r), count in _tally(n).items()})
 
 
 def joint_distribution_trees(n: int) -> Counter:

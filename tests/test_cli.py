@@ -308,12 +308,24 @@ def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
         raise AssertionError("worked past the budget")
 
     monkeypatch.setattr("twostack.counting._two_sortable", not_allowed)
+    monkeypatch.setattr("twostack.counting._admitted", not_allowed)
     monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
     monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
     monkeypatch.setattr("twostack.trees._forest_row", not_allowed)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: exhaustive counts are limited to n <= 11, got {n}\n"
+
+
+@pytest.mark.parametrize("suite", ["catalan", "lemma1"])
+def test_sweep_suite_budget_exit_two(capsys, monkeypatch, suite):
+    def not_allowed(*args):
+        raise AssertionError("worked past the budget")
+
+    monkeypatch.setattr("twostack.verify.permutations", not_allowed)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "11")
+    assert (code, out) == (2, "")
+    assert err == "error: n! sweep suites are limited to max_n <= 10, got 11\n"
 
 
 def test_exhaustive_budget_boundary(capsys, monkeypatch):

@@ -170,12 +170,13 @@ def test_sweeps_match_the_public_predicate():
 
 
 def _fresh_levels(monkeypatch):
-    levels = [((),)]
+    # the statistics live in the same entries, so this resets them too
+    levels = counting._levels[:1]
     monkeypatch.setattr("twostack.counting._levels", levels)
     return levels
 
 
-def _not_allowed(n, below):
+def _not_allowed(n, below, *stats):
     raise AssertionError(f"built level {n} again")
 
 
@@ -216,16 +217,44 @@ def test_first_entries_past_the_sweep_match_the_public_predicate(index):
 
 
 def test_count_at_the_budget_matches_the_exhaustive_filter(monkeypatch):
-    # at the budget level n is streamed from the kept level n-1, whatever
-    # jobs says; check it against the n! sweep
+    # at the budget the statistics of level n are streamed from the kept
+    # level n-1, whatever jobs says; check them against the n! sweep, the
+    # joint pairs in the order the lexicographic sweep first meets them
     for n in range(1, 9):
         sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
         runs = Counter(1 + descent_count(p) for p in sortable)
         expected = CountTable(n, {k: runs[k] for k in sorted(runs)})
+        joint = Counter((1 + descent_count(p), len(rl_maxima(p))) for p in sortable)
         with monkeypatch.context() as patch:
             patch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", n)
             assert brute_force_w(n) == expected
             assert brute_force_w(n, jobs=2) == expected
+            assert list(joint_distribution_perms(n).items()) == list(joint.items())
+
+
+def test_kept_levels_carry_their_statistics():
+    # the recurrence descents(v·q') = descents(q) + [v > q_1] and
+    # maxima(v·q') = maxima(q) + [v = n] against a direct read of each level
+    for m in range(0, 10):
+        perms, descents, maxima = counting._level(m)
+        assert list(descents) == [descent_count(p) for p in perms]
+        assert list(maxima) == [len(rl_maxima(p)) for p in perms]
+
+
+def test_counters_rescan_no_permutation(monkeypatch):
+    first, joint = brute_force_w(8), joint_distribution_perms(8)
+
+    def no_scan(p):
+        raise AssertionError(f"rescanned {p}")
+
+    for name in ("descent_count", "rl_maxima"):
+        monkeypatch.setattr(f"twostack.permutations.{name}", no_scan)
+        monkeypatch.setattr(f"twostack.counting.{name}", no_scan, raising=False)
+    assert brute_force_w(8) == first
+    assert joint_distribution_perms(8) == joint
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 8)  # streamed from level 7
+    assert brute_force_w(8) == first
+    assert joint_distribution_perms(8) == joint
 
 
 def test_levels_are_built_once_per_process(monkeypatch):
@@ -243,15 +272,16 @@ def test_level_at_the_budget_is_streamed_not_kept(monkeypatch):
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 6)
     assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
     assert brute_force_w(6).total() == TOTALS[5]
-    assert [len(level) for level in levels] == [1, *TOTALS[:5]]  # levels 0..5
+    assert [len(perms) for perms, _, _ in levels] == [1, *TOTALS[:5]]  # levels 0..5
 
 
 def test_kept_levels_are_tuples(monkeypatch):
     levels = _fresh_levels(monkeypatch)
     brute_force_w(6)
     assert len(levels) == 7
-    assert all(type(level) is tuple for level in levels)
-    assert all(type(p) is tuple for level in levels for p in level)
+    assert all(type(perms) is tuple for perms, _, _ in levels)
+    assert all(type(p) is tuple for perms, _, _ in levels for p in perms)
+    assert all(len(descents) == len(maxima) == len(perms) for perms, descents, maxima in levels)
 
 
 def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
@@ -259,9 +289,9 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     built = []
     sortable_step = counting._two_sortable
 
-    def counted(n, below):
+    def counted(n, below, *stats):
         built.append(n)
-        yield from sortable_step(n, below)
+        yield from sortable_step(n, below, *stats)
 
     monkeypatch.setattr("twostack.counting._two_sortable", counted)
     start = threading.Barrier(2)
@@ -269,7 +299,7 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
 
     def ask(slot):
         start.wait()
-        results[slot] = list(two_stack_sortable(8))
+        results[slot] = list(two_stack_sortable(8)), joint_distribution_perms(8)
 
     workers = [threading.Thread(target=ask, args=(slot,)) for slot in (0, 1)]
     for worker in workers:
@@ -277,9 +307,12 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     for worker in workers:
         worker.join()
     assert results[0] == results[1]
-    assert len(results[0]) == TOTALS[7]
+    assert len(results[0][0]) == TOTALS[7]
+    assert sum(results[0][1].values()) == TOTALS[7]
     assert sorted(built) == list(range(1, 9))
-    assert [len(level) for level in levels] == [1, *TOTALS[:8]]
+    assert [tuple(map(len, level)) for level in levels] == [
+        (size, size, size) for size in (1, *TOTALS[:8])
+    ]
 
 
 def test_brute_force_w_worker_count_does_not_matter():
@@ -392,11 +425,12 @@ def test_joint_distribution_domain_errors():
 
 
 def test_exhaustive_counters_respect_the_budget(monkeypatch):
-    def sweep_not_allowed(n, below):
+    def sweep_not_allowed(n, below, *stats):
         raise AssertionError(f"swept n={n} past the budget")
 
     with monkeypatch.context() as patch:
         patch.setattr("twostack.counting._two_sortable", sweep_not_allowed)
+        patch.setattr("twostack.counting._admitted", sweep_not_allowed)
         for call in (brute_force_w, joint_distribution_perms, two_stack_sortable):
             with pytest.raises(ValueError, match="limited to n <= 11"):
                 call(MAX_EXHAUSTIVE_N + 1)

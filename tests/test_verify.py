@@ -69,6 +69,8 @@ def test_default_bound_is_used_when_omitted():
         ("formula-vs-brute", 12, "exhaustive counts are limited to n <= 11"),
         ("joint-rl", 12, "exhaustive counts are limited to n <= 11"),
         ("lemma1", 12, "exhaustive counts are limited to n <= 11"),
+        ("catalan", 11, "n! sweep suites are limited to max_n <= 10, got 11"),
+        ("lemma1", 11, "n! sweep suites are limited to max_n <= 10, got 11"),
         ("total", 20, "exhaustive counts are limited to n <= 11"),
         ("tree-vs-perm", 48, "trees are limited to 48 nodes, got 49"),
         ("symmetry", 501, "formula suites are limited to max_n <= 500, got 501"),
@@ -99,6 +101,17 @@ def test_budget_boundary_follows_the_constant(monkeypatch):
     assert run_suite("tree-vs-perm", 5).passed
     with pytest.raises(ValueError, match="limited to 6 nodes"):
         run_suite("tree-vs-perm", 6)
+
+
+def test_sweep_budget_boundary_follows_the_constant(monkeypatch):
+    monkeypatch.setattr("twostack.verify.MAX_SWEEP_N", 4)
+    for name in ("catalan", "lemma1"):
+        assert run_suite(name, 4).passed
+        with pytest.raises(ValueError, match="sweep suites are limited to max_n <= 4, got 5"):
+            run_suite(name, 5)
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 3)  # the tighter budget wins
+    with pytest.raises(ValueError, match="exhaustive counts are limited to n <= 3, got 4"):
+        run_suite("lemma1", 4)
 
 
 def wrong_on(real, bad_input, bad_output):
