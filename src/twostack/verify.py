@@ -220,39 +220,24 @@ def _suite_lemma1(max_n: int) -> list[Check]:
 #: binomial product per cell, growing about as max_n**3.3.
 MAX_FORMULA_N = 500
 
-
-def _check_formula_n(max_n: int) -> None:
-    """Raise ValueError if ``max_n`` is past the formula suites' budget."""
-    if max_n > MAX_FORMULA_N:
-        raise ValueError(f"formula suites are limited to max_n <= {MAX_FORMULA_N}, got {max_n}")
-
-
 #: The largest max_n the two n! sweep suites, catalan and lemma1, accept.
 #: In a fresh process (2-core VM, Python 3.11), catalan takes 2.2-3.0 s at
 #: its default 9 and 22-24 s at 10, which extrapolates to 4-5 minutes at 11;
 #: lemma1 takes 2.8-3.3 s at 9, 28-34 s at 10 and 340 s (378 MB) at 11.
 MAX_SWEEP_N = 10
 
-
-def _check_sweep_n(max_n: int) -> None:
-    """Raise ValueError if ``max_n`` is past the n! sweep suites' budget."""
-    counting.check_exhaustive(max_n)
-    if max_n > MAX_SWEEP_N:
-        raise ValueError(f"n! sweep suites are limited to max_n <= {MAX_SWEEP_N}, got {max_n}")
-
-
-#: suite -> (its checks, its customary max_n, the size check max_n must pass
-#: before any work)
-_SUITES: dict[str, tuple[Callable[[int], list[Check]], int, Callable[[int], None]]] = {
-    "catalan": (_suite_catalan, 9, _check_sweep_n),
-    "formula-vs-brute": (_suite_formula_vs_brute, 9, counting.check_exhaustive),
-    "tree-vs-perm": (_suite_tree_vs_perm, 8, lambda max_n: trees.check_nodes(max_n + 1)),
-    "joint-rl": (_suite_joint_rl, 7, counting.check_exhaustive),
-    "symmetry": (_suite_symmetry, 200, _check_formula_n),
-    "unimodality": (_suite_unimodality, 200, _check_formula_n),
-    "map-substitution": (_suite_map_substitution, 50, _check_formula_n),
-    "lemma1": (_suite_lemma1, 8, _check_sweep_n),
-    "total": (_suite_total, 9, counting.check_exhaustive),
+#: suite -> (its checks, its customary max_n, its limit); a suite refuses a
+#: max_n outside 1..its limit before doing any work
+_SUITES: dict[str, tuple[Callable[[int], list[Check]], int, int]] = {
+    "catalan": (_suite_catalan, 9, MAX_SWEEP_N),
+    "formula-vs-brute": (_suite_formula_vs_brute, 9, counting.MAX_EXHAUSTIVE_N),
+    "tree-vs-perm": (_suite_tree_vs_perm, 8, trees.MAX_NODES - 1),
+    "joint-rl": (_suite_joint_rl, 7, counting.MAX_EXHAUSTIVE_N),
+    "symmetry": (_suite_symmetry, 200, MAX_FORMULA_N),
+    "unimodality": (_suite_unimodality, 200, MAX_FORMULA_N),
+    "map-substitution": (_suite_map_substitution, 50, MAX_FORMULA_N),
+    "lemma1": (_suite_lemma1, 8, MAX_SWEEP_N),
+    "total": (_suite_total, 9, counting.MAX_EXHAUSTIVE_N),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -262,17 +247,13 @@ SUITE_DEFAULTS = {name: default for name, (_, default, _) in _SUITES.items()}
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """
     Run one named suite up to ``max_n`` (each suite's customary bound when
-    omitted) and return the full comparison report.  A suite that
-    enumerates permutations or trees refuses a ``max_n`` past the
-    enumerators' size limits, an n! sweep suite one past
-    :data:`MAX_SWEEP_N`, and a formula suite one past
-    :data:`MAX_FORMULA_N`, before doing any work.
+    omitted) and return the full comparison report.  A suite refuses a
+    ``max_n`` outside 1..its limit before doing any work.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    suite, default, check_size = _SUITES[name]
+    suite, default, limit = _SUITES[name]
     bound = default if max_n is None else max_n
-    if bound < 1:
-        raise ValueError(f"max_n must be >= 1, got {bound}")
-    check_size(bound)
+    if not 1 <= bound <= limit:
+        raise ValueError(f"suite {name} takes max_n in 1..{limit}, got {bound}")
     return SuiteReport(name, bound, suite(bound))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twostack
+from twostack import verify
 from twostack.cli import build_parser, main
 from twostack.permutations import stack_sort
 
@@ -294,8 +295,6 @@ def test_tree_work_budget_exit_two(capsys, argv):
         (["count", "w", "--n", "12", "--k", "3", "--method", "brute"], 12),
         (["count", "total", "--n", "20", "--method", "brute"], 20),
         (["count", "trees", "--n", "47", "--k", "5", "--method", "enum"], 47),
-        (["verify", "--suite", "total", "--max-n", "20"], 20),
-        (["verify", "--suite", "joint-rl", "--max-n", "12", "--format", "json"], 12),
         (["enumerate", "perms", "--n", "12", "--filter", "2ss"], 12),
         (["enumerate", "perms", "--n", "12"], 12),
         (["enumerate", "perms", "--n", "13", "--runs", "1", "--format", "json"], 13),
@@ -317,6 +316,34 @@ def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
     assert err == f"error: exhaustive counts are limited to n <= 11, got {n}\n"
 
 
+@pytest.mark.parametrize(
+    "suite, max_n, limit",
+    [
+        ("total", 20, 11),
+        ("joint-rl", 12, 11),
+        ("formula-vs-brute", 12, 11),
+        ("total", 0, 11),
+        ("tree-vs-perm", 48, 47),
+        ("catalan", 12, 10),
+        ("lemma1", 12, 10),
+    ],
+)
+def test_verify_budget_exit_two(capsys, monkeypatch, suite, max_n, limit):
+    def not_allowed(*args):
+        raise AssertionError("worked past the budget")
+
+    monkeypatch.setattr("twostack.counting._two_sortable", not_allowed)
+    monkeypatch.setattr("twostack.counting._admitted", not_allowed)
+    monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
+    monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
+    monkeypatch.setattr("twostack.trees._forest_row", not_allowed)
+    monkeypatch.setattr("twostack.verify.permutations", not_allowed)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", str(max_n), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite} takes max_n in 1..{limit}, got {max_n}\n"
+
+
 @pytest.mark.parametrize("suite", ["catalan", "lemma1"])
 def test_sweep_suite_budget_exit_two(capsys, monkeypatch, suite):
     def not_allowed(*args):
@@ -325,7 +352,7 @@ def test_sweep_suite_budget_exit_two(capsys, monkeypatch, suite):
     monkeypatch.setattr("twostack.verify.permutations", not_allowed)
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "11")
     assert (code, out) == (2, "")
-    assert err == "error: n! sweep suites are limited to max_n <= 10, got 11\n"
+    assert err == f"error: suite {suite} takes max_n in 1..10, got 11\n"
 
 
 def test_exhaustive_budget_boundary(capsys, monkeypatch):
@@ -384,7 +411,7 @@ def test_formula_budget_exit_two(capsys, monkeypatch, suite):
     monkeypatch.setattr("twostack.counting.planar_map_count", formula_not_allowed)
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "100000")
     assert (code, out) == (2, "")
-    assert err == "error: formula suites are limited to max_n <= 500, got 100000\n"
+    assert err == f"error: suite {suite} takes max_n in 1..500, got 100000\n"
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -545,6 +572,15 @@ def test_readme_flag_table_matches_the_parser():
         named = {flag: True for flag in re.findall(r"--[a-z-]+", required)}
         named.update({flag: False for flag in re.findall(r"--[a-z-]+", optional)})
         assert named == declared, target
+
+
+def test_readme_suite_table_matches_the_suites():
+    # each row of the README's verify table gives a suite's default and largest --max-n
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| suite | default `--max-n` | largest `--max-n` |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.strip("| ").split(" | ") for line in table.splitlines()[1:]]  # past the rule
+    documented = {suite.strip("`"): (int(default), int(limit)) for suite, default, limit in rows}
+    assert documented == {name: (default, limit) for name, (_, default, limit) in verify._SUITES.items()}
 
 
 def test_json_envelope_is_schema_stable(capsys):

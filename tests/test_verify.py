@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from twostack import verify
+from twostack import counting, trees, verify
 from twostack.counting import brute_force_w
 from twostack.permutations import MarkedPermutation, reduce_type1, restore_type1
 from twostack.verify import SUITE_DEFAULTS, SUITE_NAMES, Check, SuiteReport, run_suite
@@ -63,55 +63,60 @@ def test_default_bound_is_used_when_omitted():
 
 
 @pytest.mark.parametrize(
-    "name, max_n, message",
+    "name, max_n, limit",
     [
-        ("catalan", 12, "exhaustive counts are limited to n <= 11"),
-        ("formula-vs-brute", 12, "exhaustive counts are limited to n <= 11"),
-        ("joint-rl", 12, "exhaustive counts are limited to n <= 11"),
-        ("lemma1", 12, "exhaustive counts are limited to n <= 11"),
-        ("catalan", 11, "n! sweep suites are limited to max_n <= 10, got 11"),
-        ("lemma1", 11, "n! sweep suites are limited to max_n <= 10, got 11"),
-        ("total", 20, "exhaustive counts are limited to n <= 11"),
-        ("tree-vs-perm", 48, "trees are limited to 48 nodes, got 49"),
-        ("symmetry", 501, "formula suites are limited to max_n <= 500, got 501"),
-        ("unimodality", 100_000, "formula suites are limited to max_n <= 500, got 100000"),
-        ("map-substitution", 501, "formula suites are limited to max_n <= 500, got 501"),
+        ("catalan", 11, 10),
+        ("catalan", 12, 10),
+        ("lemma1", 11, 10),
+        ("lemma1", 12, 10),
+        ("formula-vs-brute", 12, 11),
+        ("joint-rl", 12, 11),
+        ("total", 20, 11),
+        ("total", 0, 11),
+        ("tree-vs-perm", 48, 47),
+        ("symmetry", 501, 500),
+        ("unimodality", 100_000, 500),
+        ("map-substitution", 501, 500),
     ],
 )
-def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, max_n, message):
+def test_exhaustive_suites_refuse_past_the_budget_up_front(monkeypatch, name, max_n, limit):
     def suite_not_allowed(max_n):
         raise AssertionError(f"suite {name} started at max_n={max_n}")
 
-    _, default, check_size = verify._SUITES[name]
-    monkeypatch.setitem(verify._SUITES, name, (suite_not_allowed, default, check_size))
-    with pytest.raises(ValueError, match=message):
+    monkeypatch.setitem(verify._SUITES, name, (suite_not_allowed, *verify._SUITES[name][1:]))
+    with pytest.raises(ValueError, match=rf"^suite {name} takes max_n in 1\.\.{limit}, got {max_n}$"):
         run_suite(name, max_n)
 
 
-def test_budget_boundary_follows_the_constant(monkeypatch):
-    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 3)
-    assert run_suite("total", 3).passed
-    monkeypatch.setattr("twostack.verify.MAX_FORMULA_N", 30)
-    assert run_suite("unimodality", 30).passed
-    with pytest.raises(ValueError, match="limited to max_n <= 30, got 31"):
-        run_suite("unimodality", 31)
-    with pytest.raises(ValueError, match="limited to n <= 3"):
-        run_suite("total", 4)
-    monkeypatch.setattr("twostack.trees.MAX_NODES", 6)
-    assert run_suite("tree-vs-perm", 5).passed
-    with pytest.raises(ValueError, match="limited to 6 nodes"):
-        run_suite("tree-vs-perm", 6)
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_runs_up_to_its_limit_and_no_further(monkeypatch, name):
+    reached = []
+
+    def suite_records(max_n):
+        reached.append(max_n)
+        return []
+
+    _, default, limit = verify._SUITES[name]
+    monkeypatch.setitem(verify._SUITES, name, (suite_records, default, limit))
+    assert run_suite(name, limit).max_n == limit
+    for refused in (limit + 1, 0):
+        with pytest.raises(ValueError, match=rf"^suite {name} takes max_n in 1\.\.{limit}, got {refused}$"):
+            run_suite(name, refused)
+    assert reached == [limit]
 
 
-def test_sweep_budget_boundary_follows_the_constant(monkeypatch):
-    monkeypatch.setattr("twostack.verify.MAX_SWEEP_N", 4)
+def test_suite_limits_match_the_budgets_they_stand_for():
+    limits = {name: limit for name, (_, _, limit) in verify._SUITES.items()}
+    assert all(SUITE_DEFAULTS[name] <= limit for name, limit in limits.items())
+    for name in ("formula-vs-brute", "joint-rl", "total"):
+        assert limits[name] == counting.MAX_EXHAUSTIVE_N
+    assert limits["tree-vs-perm"] == trees.MAX_NODES - 1
+    for name in ("symmetry", "unimodality", "map-substitution"):
+        assert limits[name] == verify.MAX_FORMULA_N
     for name in ("catalan", "lemma1"):
-        assert run_suite(name, 4).passed
-        with pytest.raises(ValueError, match="sweep suites are limited to max_n <= 4, got 5"):
-            run_suite(name, 5)
-    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 3)  # the tighter budget wins
-    with pytest.raises(ValueError, match="exhaustive counts are limited to n <= 3, got 4"):
-        run_suite("lemma1", 4)
+        assert limits[name] == verify.MAX_SWEEP_N
+    # lemma1 reads two_stack_sortable(n), which stops at the exhaustive budget
+    assert verify.MAX_SWEEP_N <= counting.MAX_EXHAUSTIVE_N
 
 
 def wrong_on(real, bad_input, bad_output):
