@@ -295,6 +295,8 @@ def test_tree_work_budget_exit_two(capsys, argv):
         (["count", "w", "--n", "12", "--k", "3", "--method", "brute"], 12),
         (["count", "total", "--n", "20", "--method", "brute"], 20),
         (["count", "trees", "--n", "47", "--k", "5", "--method", "enum"], 47),
+        (["verify", "--suite", "total", "--max-n", "20"], 20),
+        (["verify", "--suite", "joint-rl", "--max-n", "12", "--format", "json"], 12),
         (["enumerate", "perms", "--n", "12", "--filter", "2ss"], 12),
         (["enumerate", "perms", "--n", "12"], 12),
         (["enumerate", "perms", "--n", "13", "--runs", "1", "--format", "json"], 13),
@@ -313,7 +315,10 @@ def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
     monkeypatch.setattr("twostack.trees._forest_row", not_allowed)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: exhaustive counts are limited to n <= 11, got {n}\n"
+    if argv[0] == "verify":  # both verify rows name suites whose limit is the exhaustive budget
+        assert err == f"error: suite {argv[2]} takes max_n in 1..11, got {n}\n"
+    else:
+        assert err == f"error: exhaustive counts are limited to n <= 11, got {n}\n"
 
 
 @pytest.mark.parametrize(
