@@ -173,7 +173,7 @@ def _cmd_table(args) -> int:
         _emit(args, "table", {"n": args.n}, table.to_json_dict(), [])
     else:
         _emit(args, "table", {"n": args.n}, None,
-              [f"W({args.n},{k}) = {table.row[k]}" for k in sorted(table.row)])
+              [f"W({args.n},{k}) = {count}" for k, count in table.decimal_row().items()])
     return 0
 
 

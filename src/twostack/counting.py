@@ -31,9 +31,9 @@ from . import trees
 #: sortable (n-1)-permutation: a cold :func:`brute_force_w` takes 4-5 s at
 #: 58 MB, counting from level 10's statistics, and ``twostack enumerate perms
 #: --filter 2ss`` prints it in 10-15 s; without ``--filter`` that command
-#: scans all n! permutations in 45 s; ``twostack count trees --method enum``
-#: lists the trees on n+1 nodes in minutes.  Each step up multiplies the
-#: sortable ones by about 5.5 (n+1 for the scan).
+#: scans all n! permutations in 45 s; ``twostack count trees --n 11 --k 6
+#: --method enum`` lists the trees on 12 nodes in 3-5 s at 15 MB.  Each step
+#: up multiplies the sortable ones by about 5.5 (n+1 for the scan).
 MAX_EXHAUSTIVE_N = 11
 
 
@@ -141,14 +141,23 @@ class CountTable(NamedTuple):
     def total(self) -> int:
         return sum(self.row.values())
 
+    def decimal_row(self) -> dict[int, str]:
+        """
+        {k: the count in decimal}, in order of k.  Each distinct count is
+        converted once: a formula row is a palindrome, W(n,k) = W(n,n+1-k),
+        so that halves the work of printing it.
+        """
+        text = {count: str(count) for count in set(self.row.values())}
+        return {k: text[count] for k, count in sorted(self.row.items())}
+
     def to_csv(self) -> str:
         lines = ["n,k,count"]
-        lines += [f"{self.n},{k},{self.row[k]}" for k in sorted(self.row)]
+        lines += [f"{self.n},{k},{count}" for k, count in self.decimal_row().items()]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         # counts as decimal strings: they outgrow 64-bit consumers quickly
-        rows = [{"k": k, "count": str(self.row[k])} for k in sorted(self.row)]
+        rows = [{"k": k, "count": count} for k, count in self.decimal_row().items()]
         return {"n": self.n, "rows": rows}
 
 
@@ -158,14 +167,24 @@ def w_table(n: int) -> CountTable:
     ratio from W(n,1) = 1 (:func:`w_formula` is its closed-form oracle):
 
         W(n,k+1) = W(n,k) (n+k)(n+1-k)(2n-2k+1)(2n-2k) / ((2n-k)(k+1)(2k)(2k+1))
+
+    which, with the common factor 2 of (2n-2k)/(2k) cancelled and a = n-k, is
+
+        W(n,k+1) = W(n,k) (n+k)(a+1)(2a+1)a / ((n+a)(k+1)k(2k+1))
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_count(n)
     row = {1: 1}
     for k in range(1, n):
-        num = (n + k) * (n + 1 - k) * (2 * n - 2 * k + 1) * (2 * n - 2 * k)
-        row[k + 1] = _exact_div(row[k] * num, (2 * n - k) * (k + 1) * (2 * k) * (2 * k + 1))
+        a = n - k
+        # the small factors first, so the big count is multiplied once; the
+        # division is _exact_div's, inline, since a call per cell costs more
+        num = row[k] * ((n + k) * (a + 1) * (2 * a + 1) * a)
+        den = (n + a) * (k + 1) * k * (2 * k + 1)
+        row[k + 1], rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"expected exact division: {num} / {den}")
     return CountTable(n, row)
 
 

@@ -36,10 +36,12 @@ def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
     ValueError: not a permutation of 1..2: (1, 3)
     """
     perm = tuple(entries)
-    # a float or bool equal to an int gets past the compare, and a str breaks the sort
+    n = len(perm)
+    # a float or bool equal to an int gets past the compares, and a str breaks min and max
     ints = all(issubclass(c, int) and c is not bool for c in set(map(type, perm)))
-    if not ints or sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
+    # n distinct ints from 1 to n are 1..n in some order
+    if not ints or len(set(perm)) != n or perm and (min(perm) != 1 or max(perm) != n):
+        raise ValueError(f"not a permutation of 1..{n}: {perm}")
     return perm
 
 

@@ -215,9 +215,9 @@ def _suite_lemma1(max_n: int) -> list[Check]:
 
 
 #: The largest max_n the formula suites accept.  At 500 (2-core VM, Python
-#: 3.11), symmetry takes 0.24-0.35 s and unimodality 0.16-0.18 s, each
-#: reading one term-ratio row per n, and map-substitution 1.9-2.2 s, one
-#: binomial product per cell, growing about as max_n**3.3.
+#: 3.11), symmetry and unimodality each take 0.12-0.18 s, reading one
+#: term-ratio row per n, and map-substitution 2.0-2.6 s, one binomial
+#: product per cell, growing about as max_n**3.3.
 MAX_FORMULA_N = 500
 
 #: The largest max_n the two n! sweep suites, catalan and lemma1, accept.

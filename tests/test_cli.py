@@ -184,6 +184,14 @@ def test_table_csv(capsys):
     assert out == "n,k,count\n3,1,1\n3,2,4\n3,3,1\n"
 
 
+def test_table_text_matches_the_closed_form(capsys):
+    # each line against w_formula's count, converted on its own
+    for n in (*range(1, 301), 400, 800, 1200):
+        code, out, _ = run(capsys, "table", "--n", str(n))
+        assert code == 0
+        assert out == "".join(f"W({n},{k}) = {twostack.w_formula(n, k)}\n" for k in range(1, n + 1))
+
+
 def test_table_rejects_nonpositive_n(capsys):
     for n in ("0", "-3"):
         code, out, err = run(capsys, "table", "--n", n)
@@ -390,6 +398,8 @@ def test_count_budget_exit_two(capsys, monkeypatch, argv, limited):
 
     monkeypatch.setattr("twostack.counting._exact_div", not_allowed)
     monkeypatch.setattr("twostack.counting.comb", not_allowed)
+    # w_table's loop divides with the builtin divmod, looked up in the module first
+    monkeypatch.setattr("twostack.counting.divmod", not_allowed, raising=False)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: closed-form counts are limited to {limited}\n"

@@ -100,6 +100,13 @@ def test_exact_div_rejects_a_remainder():
         counting._exact_div(7, 2)
 
 
+def test_w_table_rejects_a_remainder(monkeypatch):
+    # the term-ratio loop divides inline; a remainder must raise there too
+    monkeypatch.setattr(counting, "divmod", lambda num, den: (num // den, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="expected exact division"):
+        w_table(3)
+
+
 def test_w_total_frozen():
     assert [w_total(n) for n in range(1, 10)] == TOTALS
     with pytest.raises(ValueError):
@@ -358,9 +365,17 @@ def test_w_table_matches_formula():
 
 
 def test_w_table_rows_match_the_closed_form():
-    # the term-ratio row against the binomial products of w_formula
-    for n in range(1, 300):
-        assert w_table(n).row == {k: w_formula(n, k) for k in range(1, n + 1)}
+    # the term-ratio row and its decimal renderings against the binomial
+    # products of w_formula, each converted on its own
+    for n in (*range(1, 301), 400, 800, 1200):
+        cells = {k: w_formula(n, k) for k in range(1, n + 1)}
+        table = w_table(n)
+        assert table.row == cells
+        text = {k: str(count) for k, count in cells.items()}
+        assert list(table.decimal_row().items()) == list(text.items())
+        assert table.to_csv() == "n,k,count\n" + "".join(f"{n},{k},{c}\n" for k, c in text.items())
+        assert table.to_json_dict() == {
+            "n": n, "rows": [{"k": k, "count": c} for k, c in text.items()]}
 
 
 def test_w_table_matches_factorial_quotients_at_cli_sizes():
@@ -380,6 +395,18 @@ def test_w_table_rejects_nonpositive_n():
 def test_count_table_csv():
     table = CountTable(3, {1: 1, 2: 4, 3: 1})
     assert table.to_csv() == "n,k,count\n3,1,1\n3,2,4\n3,3,1\n"
+
+
+def test_count_table_renders_a_row_that_is_no_palindrome():
+    # keys out of order, a count repeated at positions that do not mirror,
+    # and a count far beyond 64 bits
+    big = 10**40 + 7
+    table = CountTable(5, {4: big, 1: 5, 2: big, 5: 0, 3: 5})
+    expected = {1: "5", 2: str(big), 3: "5", 4: str(big), 5: "0"}
+    assert list(table.decimal_row().items()) == list(expected.items())
+    assert table.to_csv() == f"n,k,count\n5,1,5\n5,2,{big}\n5,3,5\n5,4,{big}\n5,5,0\n"
+    assert table.to_json_dict() == {
+        "n": 5, "rows": [{"k": k, "count": c} for k, c in expected.items()]}
 
 
 def test_count_table_json_uses_decimal_strings():

@@ -165,6 +165,41 @@ def test_as_permutation_rejects_repeats_gaps_nonpositive(bad):
         as_permutation(bad)
 
 
+def agrees_with_a_sort(entries):
+    """Independent oracle for as_permutation: the entries are accepted exactly
+    when sorted they read 1..n, and a rejection names n and the entries."""
+    entries = tuple(entries)
+    if tuple(sorted(entries)) == identity(len(entries)):
+        assert as_permutation(list(entries)) == entries
+    else:
+        with pytest.raises(ValueError) as info:
+            as_permutation(list(entries))
+        assert str(info.value) == f"not a permutation of 1..{len(entries)}: {entries}"
+
+
+def test_as_permutation_agrees_with_a_sort_on_short_lists():
+    for length in range(5):
+        for entries in product(range(-1, 5), repeat=length):
+            agrees_with_a_sort(entries)
+
+
+def edited(p):
+    """``p`` as it is, with one entry overwritten, with one entry dropped (a gap
+    unless it was the largest) or with one value appended."""
+    return st.one_of(
+        st.just(p),
+        one_entry_changed(p),
+        st.integers(0, len(p) - 1).map(lambda i: p[:i] + p[i + 1:]),
+        st.integers(-1, len(p) + 2).map(lambda v: p + (v,)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped(st.integers(1, 3000)).flatmap(edited))
+def test_as_permutation_agrees_with_a_sort_on_long_lists(entries):
+    agrees_with_a_sort(entries)
+
+
 def test_as_permutation_keeps_int_subclasses_other_than_bool():
     Entry = IntEnum("Entry", "ONE TWO")
     assert as_permutation([Entry.TWO, Entry.ONE]) == (2, 1)
