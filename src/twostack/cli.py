@@ -4,32 +4,24 @@ stable JSON envelope {"command", "input", "result"}; counts are emitted as
 decimal strings in JSON and CSV so they survive 64-bit consumers.  Each
 subcommand declares exactly the flags it reads, so the parser rejects any
 other.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+
+Each handler imports the modules it runs, so building the parser loads no
+other ``twostack`` module and a command pays only for its own imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from itertools import permutations as iter_permutations
 
-from . import counting, trees, verify
-from .permutations import (
-    _passes,
-    contains_pattern,
-    descent_count,
-    format_permutation,
-    parse_permutation,
-    reduce_type1,
-    restore_type1,
-    sorting_passes,
-    statistics,
-)
+import twostack  # reaching a submodule through the package imports it on first use
 
 
 def _emit(args, command: str, input_obj, result_obj, text_lines) -> None:
     if args.format == "json":
+        import json
         print(json.dumps({"command": command, "input": input_obj, "result": result_obj}))
     else:
         for line in text_lines:
@@ -37,6 +29,7 @@ def _emit(args, command: str, input_obj, result_obj, text_lines) -> None:
 
 
 def _cmd_sort(args) -> int:
+    from .permutations import _passes, format_permutation, parse_permutation
     if args.passes < 0:
         raise ValueError("--passes must be >= 0")
     for perm in _passes(parse_permutation(args.perm), args.passes):
@@ -47,6 +40,7 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_sortable(args) -> int:
+    from .permutations import parse_permutation, sorting_passes
     perm = parse_permutation(args.perm)
     if args.t < 0:
         raise ValueError("number of passes must be >= 0")
@@ -63,6 +57,7 @@ def _cmd_sortable(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .permutations import format_permutation, parse_permutation, statistics
     stats = statistics(parse_permutation(args.perm))
     _emit(
         args,
@@ -87,6 +82,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
+    from .permutations import contains_pattern, parse_permutation
     perm = parse_permutation(args.perm)
     patt = parse_permutation(args.q)
     found = contains_pattern(perm, patt)
@@ -101,6 +97,7 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_fmap(args) -> int:
+    from .permutations import format_permutation, parse_permutation, reduce_type1
     marked = reduce_type1(parse_permutation(args.perm))
     out = format_permutation(marked.perm)
     _emit(
@@ -114,6 +111,7 @@ def _cmd_fmap(args) -> int:
 
 
 def _cmd_finv(args) -> int:
+    from .permutations import format_permutation, parse_permutation, restore_type1
     grown = restore_type1((parse_permutation(args.perm), args.mark))
     out = format_permutation(grown)
     _emit(args, "finv", {"perm": args.perm, "mark": args.mark}, out, [out])
@@ -121,12 +119,14 @@ def _cmd_finv(args) -> int:
 
 
 def _count_w_brute(args) -> int:
+    from . import counting
     counting.check_exhaustive(args.n)
     counting.w_formula(args.n, args.k)  # range check up front
     return counting.brute_force_w(args.n).row.get(args.k, 0)
 
 
 def _count_trees_enum(args) -> int:
+    from . import counting, trees
     trees.check_nodes(args.n + 1)
     counting.check_exhaustive(args.n)
     trees.count_trees(args.n, args.k)  # range check up front
@@ -135,14 +135,14 @@ def _count_trees_enum(args) -> int:
 
 #: (count target, --method) -> counter; each target's --method choices come from here
 _COUNTERS = {
-    ("w", "formula"): lambda args: counting.w_formula(args.n, args.k),
+    ("w", "formula"): lambda args: twostack.counting.w_formula(args.n, args.k),
     ("w", "brute"): _count_w_brute,
-    ("trees", "formula"): lambda args: trees.count_trees(args.n, args.k),
+    ("trees", "formula"): lambda args: twostack.trees.count_trees(args.n, args.k),
     ("trees", "enum"): _count_trees_enum,
-    ("maps", "formula"): lambda args: counting.planar_map_count(args.f, args.pv),
-    ("catalan", "formula"): lambda args: counting.catalan(args.n),
-    ("total", "formula"): lambda args: counting.w_total(args.n),
-    ("total", "brute"): lambda args: counting.brute_force_w(args.n).total(),
+    ("maps", "formula"): lambda args: twostack.counting.planar_map_count(args.f, args.pv),
+    ("catalan", "formula"): lambda args: twostack.counting.catalan(args.n),
+    ("total", "formula"): lambda args: twostack.counting.w_total(args.n),
+    ("total", "brute"): lambda args: twostack.counting.brute_force_w(args.n).total(),
 }
 
 #: count target -> (help, the flags it requires)
@@ -165,6 +165,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import counting
     table = counting.w_table(args.n)
     # each format converts the counts to decimal once, for what it prints
     if args.format == "csv":
@@ -178,6 +179,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate_perms(args) -> int:
+    from . import counting
+    from .permutations import descent_count, format_permutation
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     counting.check_exhaustive(args.n)  # without --filter, all n! permutations are scanned
@@ -197,6 +200,7 @@ def _cmd_enumerate_perms(args) -> int:
 
 
 def _cmd_enumerate_trees(args) -> int:
+    from . import trees
     input_obj = {"what": "trees", "nodes": args.nodes, "leaves": args.leaves}
     for tree in trees.enumerate_trees(args.nodes, args.leaves):
         if args.format == "json":
@@ -207,6 +211,7 @@ def _cmd_enumerate_trees(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     report = verify.run_suite(args.suite, args.max_n)
     if args.format == "json":
         checks = [
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate_trees, parser=p)
 
     p = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
+    p.add_argument("--suite", required=True, help="the suite to run; an unknown name lists them all")
     p.add_argument("--max-n", type=int, default=None, help="override the suite's bound")
     p.set_defaults(handler=_cmd_verify, parser=p)
 

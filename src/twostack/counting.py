@@ -22,8 +22,6 @@ from itertools import accumulate, compress
 from math import comb
 from typing import Iterator, NamedTuple
 
-from . import trees
-
 #: The largest n that the exhaustive counters accept.  Levels below it are
 #: kept once built (:func:`two_stack_sortable`); after n = 10 they hold 39 MB
 #: and the process 56 MB.  At n = 11 (2-core VM, Python 3.11) the top level is
@@ -371,5 +369,6 @@ def joint_distribution_trees(n: int) -> Counter:
     >>> sorted(joint_distribution_trees(2).items())
     [((1, 1), 1), ((2, 2), 1)]
     """
+    from . import trees
     counts = trees.tree_counts(n)
     return Counter({(leaves, label): count for (label, leaves), count in counts.items()})

@@ -178,6 +178,38 @@ def test_cli_import_skips_dataclasses_and_multiprocessing():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+# Run in a fresh interpreter: prints which of the watched modules a start,
+# plus the command given in argv if any, has loaded.
+_FOOTPRINT_PROBE = """
+import contextlib, io, sys
+import twostack.cli
+twostack.cli.build_parser()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert twostack.cli.main(sys.argv[1:]) == 0
+watched = ("json", "twostack.counting", "twostack.permutations", "twostack.trees", "twostack.verify")
+print(sorted(set(watched) & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["sort", "3 1 2"], ["twostack.permutations"]),
+        (["table", "--n", "5"], ["twostack.counting"]),
+    ],
+    ids=["parser", "sort", "table"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    # importing the rest would make up most of a short command's time
+    env = {**os.environ, "PYTHONPATH": str(Path(twostack.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *argv], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, f"{loaded}\n"), done.stderr
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--format", "csv")
     assert code == 0
@@ -443,6 +475,19 @@ def test_verify_json_report(capsys):
     payload = json.loads(out)
     assert payload["result"]["passed"] is True
     assert all(check["ok"] for check in payload["result"]["checks"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_unknown_suite_lists_every_suite(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--suite", "bogus", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown suite 'bogus'; choose from {', '.join(verify.SUITE_NAMES)}\n"
+
+
+def test_verify_help_exits_zero(capsys):
+    code, out, err = run(capsys, "verify", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: twostack verify")
 
 
 def test_verify_mismatch_exit_one(capsys, monkeypatch):

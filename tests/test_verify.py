@@ -4,7 +4,13 @@ import pytest
 
 from twostack import counting, trees, verify
 from twostack.counting import brute_force_w
-from twostack.permutations import MarkedPermutation, reduce_type1, restore_type1
+from twostack.permutations import (
+    MarkedPermutation,
+    is_t_stack_sortable,
+    perm_type,
+    reduce_type1,
+    restore_type1,
+)
 from twostack.verify import SUITE_DEFAULTS, SUITE_NAMES, Check, SuiteReport, run_suite
 
 # suites are exercised at reduced bounds here to stay quick; the acceptance
@@ -151,6 +157,16 @@ def test_lemma1_counts_a_restoration_gone_wrong(monkeypatch):
         ("restore(reduce(p)) = p on type-1, n=3", 0, 1),
         ("reduce(restore(mp)) = mp, length 2", 0, 1),
     ]
+
+
+def test_lemma1_counts_a_type_gone_wrong(monkeypatch):
+    # (3, 4, 5, 1, 2) is type 1 but not 2-stack sortable, so no image check
+    # sees it called type 2: only the partition, which counts type 1 as the
+    # marked 4-permutations, does
+    p = (3, 4, 5, 1, 2)
+    assert perm_type(p) == 1 and not is_t_stack_sortable(p, 2)
+    monkeypatch.setattr(verify, "perm_type", wrong_on(perm_type, p, 2))
+    assert failures(run_suite("lemma1", 5)) == [("type-1/type-2 partition, n=5", 120, 121)]
 
 
 def test_lemma1_keeps_no_reduction_per_permutation():
