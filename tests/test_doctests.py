@@ -1,18 +1,13 @@
 import doctest
+from importlib import import_module
 
 import pytest
 
-import twostack.counting
-import twostack.permutations
-import twostack.trees
+import twostack
 
 
-@pytest.mark.parametrize(
-    "module",
-    [twostack.permutations, twostack.trees, twostack.counting],
-    ids=lambda m: m.__name__,
-)
-def test_module_doctests(module):
-    result = doctest.testmod(module)
+@pytest.mark.parametrize("name", [f"twostack.{module}" for module in twostack._EXPORTS])
+def test_module_doctests(name):
+    result = doctest.testmod(import_module(name))
     assert result.attempted > 0
     assert result.failed == 0

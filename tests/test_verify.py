@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import pytest
@@ -54,9 +55,17 @@ def test_unknown_suite_rejected():
         run_suite("total", 0)
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_yields_its_checks_into_a_tuple(name):
+    # each suite is a generator of checks; run_suite alone collects them
+    suite = verify._SUITES[name][0]
+    assert inspect.isgeneratorfunction(suite)
+    assert type(run_suite(name, 2).checks) is tuple
+
+
 def test_report_flags_failures():
     report = SuiteReport(
-        "demo", 1, [Check("good", 1, 1), Check("bad", 1, 2)]
+        "demo", 1, (Check("good", 1, 1), Check("bad", 1, 2))
     )
     assert not report.passed
     assert [c.label for c in report.failures] == ["bad"]
