@@ -165,8 +165,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from decimal import (
+        MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext,
+    )
     from . import counting
-    table = counting.w_table(args.n)
+    # exact decimal counts print in linear time; str of an int is quadratic
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
+    with localcontext(exact):
+        table = counting.w_table(args.n, Decimal(1))
     # each format converts the counts to decimal once, for what it prints
     if args.format == "csv":
         sys.stdout.write(table.to_csv())

@@ -2,8 +2,10 @@
 Exact counting of 2-stack sortable permutations: closed formulas, their
 brute-force counterparts, and joint statistic distributions.
 
-All counts are exact Python integers; every formula division is checked to
-be remainder-free, so a transcription slip raises instead of silently
+All counts are exact Python integers, but for the row that the ``table``
+command prints: it starts :func:`w_table` from an exact ``decimal.Decimal``
+1, so that the row prints in linear time.  Every formula division is checked
+to be remainder-free, so a transcription slip raises instead of silently
 truncating.  Brute-force counters grow the sortable permutations one first
 entry at a time, admitting only the first entries that West's
 characterisation allows, so no candidate is built and then rejected.
@@ -159,21 +161,28 @@ class CountTable(NamedTuple):
         return {"n": self.n, "rows": rows}
 
 
-def w_table(n: int) -> CountTable:
+def w_table(n: int, one=1) -> CountTable:
     """
     The full formula row W(n, 1..n) as a :class:`CountTable`, by exact term
-    ratio from W(n,1) = 1 (:func:`w_formula` is its closed-form oracle):
+    ratio from W(n,1) = ``one`` (:func:`w_formula` is its closed-form oracle):
 
         W(n,k+1) = W(n,k) (n+k)(n+1-k)(2n-2k+1)(2n-2k) / ((2n-k)(k+1)(2k)(2k+1))
 
     which, with the common factor 2 of (2n-2k)/(2k) cancelled and a = n-k, is
 
         W(n,k+1) = W(n,k) (n+k)(a+1)(2a+1)a / ((n+a)(k+1)k(2k+1))
+
+    The row holds ints by default.  Given ``one = decimal.Decimal(1)``, under
+    a context whose precision holds every count and which traps Inexact,
+    Rounded and InvalidOperation, it holds the same counts as exact
+    Decimals, whose ``str`` takes linear time where an int's is quadratic:
+    at n = 5000 that is most of the time of printing the row.  On short rows
+    Decimal arithmetic is the slower one, so ints stay the default.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_count(n)
-    row = {1: 1}
+    row = {1: one}
     for k in range(1, n):
         a = n - k
         # the small factors first, so the big count is multiplied once; the

@@ -105,14 +105,28 @@ def stack_sort(perm: Sequence[int]) -> tuple[int, ...]:
 
 
 def _passes(perm: Sequence[int], most: int) -> Iterator[tuple[int, ...]]:
-    """``perm``, then up to ``most`` :func:`stack_sort` passes of it, ending at the
-    identity; never more than n, as a permutation of 1..n sorts in n - 1."""
-    cur, ident = tuple(perm), identity(len(perm))
+    """
+    ``perm``, then up to ``most`` :func:`stack_sort` passes of it, ending at
+    the identity; never more than n, as a permutation of 1..n sorts in n - 1.
+
+    A pass leaves a settled prefix 1..lo and suffix hi+1..n in place:
+    ``stack_sort(P M S) = P stack_sort(M) S``, so only ``cur[lo:hi]`` is
+    sorted, and lo and hi only move inwards from pass to pass.  For input
+    that is not a permutation these passes may differ from whole passes,
+    but each keeps the multiset of entries, so such input still never
+    reaches the identity and every caller's answer is the same.
+    """
+    cur = tuple(perm)
+    lo, hi = 0, len(cur)
     for _ in range(min(most, len(cur))):
-        if cur == ident:
+        while lo < hi and cur[lo] == lo + 1:
+            lo += 1
+        while lo < hi and cur[hi - 1] == hi:
+            hi -= 1
+        if lo == hi:
             break
         yield cur
-        cur = stack_sort(cur)
+        cur = (*cur[:lo], *stack_sort(cur[lo:hi]), *cur[hi:])
     yield cur
 
 

@@ -52,6 +52,30 @@ def test_sort_passes_stop_at_the_identity(capsys, monkeypatch):
     assert calls == [tuple(range(300, 0, -1))]  # one pass sorts it; the identity takes none
 
 
+def whole_passes(perm, m):
+    """``perm`` after m whole stack_sort passes."""
+    for _ in range(m):
+        perm = stack_sort(perm)
+    return perm
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [
+        (3, 5, 2, 4, 1),
+        (*range(2, 301), 1),  # the most passes: each moves 1 one place left
+        (*range(1, 101), *range(300, 100, -1)),  # a settled prefix, then a reversed block
+        (1, 2, 7, 3, 6, 4, 5, 8, 9),
+        (4, 1, 6, 2, 5, 3, 7),
+    ],
+)
+def test_sort_passes_match_whole_passes(capsys, perm):
+    text = " ".join(map(str, perm))
+    for m in range(5):
+        code, out, _ = run(capsys, "sort", text, "--passes", str(m))
+        assert (code, out) == (0, " ".join(map(str, whole_passes(perm, m))) + "\n")
+
+
 def test_sortable_witness_yes(capsys):
     code, out, _ = run(capsys, "sortable", "3 5 2 4 1", "--t", "2")
     assert code == 0
@@ -187,7 +211,7 @@ twostack.cli.build_parser()
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert twostack.cli.main(sys.argv[1:]) == 0
-watched = ("json", "twostack.counting", "twostack.permutations", "twostack.trees", "twostack.verify")
+watched = ("decimal", "json", "twostack.counting", "twostack.permutations", "twostack.trees", "twostack.verify")
 print(sorted(set(watched) & set(sys.modules)))
 """
 
@@ -197,9 +221,10 @@ print(sorted(set(watched) & set(sys.modules)))
     [
         ([], []),
         (["sort", "3 1 2"], ["twostack.permutations"]),
-        (["table", "--n", "5"], ["twostack.counting"]),
+        (["table", "--n", "5"], ["decimal", "twostack.counting"]),
+        (["count", "w", "--n", "4", "--k", "2"], ["twostack.counting"]),
     ],
-    ids=["parser", "sort", "table"],
+    ids=["parser", "sort", "table", "count"],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     # importing the rest would make up most of a short command's time
@@ -222,6 +247,30 @@ def test_table_text_matches_the_closed_form(capsys):
         code, out, _ = run(capsys, "table", "--n", str(n))
         assert code == 0
         assert out == "".join(f"W({n},{k}) = {twostack.w_formula(n, k)}\n" for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_csv_and_json_match_the_closed_form(capsys, fmt):
+    n = 1200
+    code, out, _ = run(capsys, "table", "--n", str(n), "--format", fmt)
+    assert code == 0
+    counts = {k: str(twostack.w_formula(n, k)) for k in range(1, n + 1)}
+    if fmt == "csv":
+        assert out == "n,k,count\n" + "".join(f"{n},{k},{c}\n" for k, c in counts.items())
+    else:
+        rows = [{"k": k, "count": c} for k, c in counts.items()]
+        envelope = {"command": "table", "input": {"n": n}, "result": {"n": n, "rows": rows}}
+        assert out == json.dumps(envelope) + "\n"
+
+
+def test_table_at_the_count_limit(capsys):
+    n = 5000
+    code, out, _ = run(capsys, "table", "--n", str(n))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == n
+    for k in (1, 2, 2500, 2501, 5000):
+        assert lines[k - 1] == f"W({n},{k}) = {twostack.w_formula(n, k)}"
 
 
 def test_table_rejects_nonpositive_n(capsys):

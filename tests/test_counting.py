@@ -2,6 +2,9 @@ import json
 import threading
 from bisect import bisect_left
 from collections import Counter
+from decimal import (
+    MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext,
+)
 from functools import cache
 from itertools import permutations
 from math import factorial
@@ -384,6 +387,20 @@ def test_w_table_matches_factorial_quotients_at_cli_sizes():
         assert len(row) == n
         for k in (1, n // 2, n // 2 + 1, n):
             assert row[k] == _w_oracle(n, k)
+
+
+def test_w_table_from_a_decimal_one_matches_the_int_row():
+    # the table command's row: under its exact context, exact Decimals equal
+    # to the int row cell for cell (an exact Decimal-int compare, no str)
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
+    for n in (*range(1, 61), 1200, 5000):
+        with localcontext(exact):
+            row = w_table(n, Decimal(1)).row
+        ints = w_table(n).row
+        assert list(row) == list(ints)
+        for k, count in row.items():
+            assert type(count) is Decimal and count.as_tuple().exponent == 0
+            assert count == ints[k]
 
 
 def test_w_table_rejects_nonpositive_n():

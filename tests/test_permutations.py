@@ -68,6 +68,15 @@ def sorted_by_composed_passes(p, t):
     return cur == identity(len(cur))
 
 
+def passes_to_sort(p):
+    """Independent oracle for sorting_passes: whole stack_sort passes, counted
+    until the identity."""
+    count, ident = 0, identity(len(p))
+    while p != ident:
+        p, count = stack_sort(p), count + 1
+    return count
+
+
 def one_entry_changed(p):
     """A permutation with one entry overwritten, so the result holds a repeat
     or an out-of-range value but otherwise still sorts like ``p``."""
@@ -346,6 +355,38 @@ def test_sorting_passes():
 def test_sorting_passes_rejects_non_permutations(bad):
     with pytest.raises(ValueError):
         sorting_passes(bad)
+
+
+def test_sorting_passes_counts_whole_passes_exhaustive():
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            assert sorting_passes(p) == passes_to_sort(p)
+
+
+@given(shaped(st.integers(9, 300)))
+@example((*range(2, 301), 1))  # 299 passes, the most: each moves 1 one place left
+@example((*range(1, 101), *range(300, 100, -1)))  # a settled prefix, then a reversed block
+def test_sorting_passes_counts_whole_passes_on_long_inputs(p):
+    assert sorting_passes(p) == passes_to_sort(p)
+
+
+@given(shaped(st.integers(9, 300)), st.integers(0, 4))
+@example((*range(2, 301), 1), 4)
+@example((*range(1, 101), *range(300, 100, -1)), 1)
+def test_passes_end_where_whole_passes_do(p, m):
+    whole = p
+    for _ in range(m):
+        whole = stack_sort(whole)
+    *_, last = P._passes(p, m)
+    assert last == whole
+
+
+def test_passes_sort_only_what_is_not_settled(monkeypatch):
+    # 1 2 and 5 6 are in place, so the pass sorts 4 3 alone
+    inputs = []
+    monkeypatch.setattr(P, "stack_sort", lambda p: inputs.append(p) or stack_sort(p))
+    assert sorting_passes((1, 2, 4, 3, 5, 6)) == 1
+    assert inputs == [(4, 3)]
 
 
 @given(perms(30))
