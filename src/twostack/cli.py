@@ -1,7 +1,9 @@
 """
 Command-line front end.  Every command prints either plain text or a
 stable JSON envelope {"command", "input", "result"}; counts are emitted as
-decimal strings in JSON and CSV so they survive 64-bit consumers.  Each
+decimal strings in JSON and CSV so they survive 64-bit consumers.  ``_emit``
+is the one writer to stdout: it prints the JSON envelope or the text lines
+that a handler passes it, as ``--format`` asks.  Each
 subcommand declares exactly the flags it reads, so the parser rejects any
 other.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 
@@ -19,10 +21,10 @@ from itertools import permutations as iter_permutations
 import twostack  # reaching a submodule through the package imports it on first use
 
 
-def _emit(args, command: str, input_obj, result_obj, text_lines) -> None:
+def _emit(args, input_obj, result_obj, text_lines) -> None:
     if args.format == "json":
         import json
-        print(json.dumps({"command": command, "input": input_obj, "result": result_obj}))
+        print(json.dumps({"command": args.command, "input": input_obj, "result": result_obj}))
     else:
         for line in text_lines:
             print(line)
@@ -35,7 +37,7 @@ def _cmd_sort(args) -> int:
     for perm in _passes(parse_permutation(args.perm), args.passes):
         pass
     out = format_permutation(perm)
-    _emit(args, "sort", {"perm": args.perm, "passes": args.passes}, out, [out])
+    _emit(args, {"perm": args.perm, "passes": args.passes}, out, [out])
     return 0
 
 
@@ -48,7 +50,6 @@ def _cmd_sortable(args) -> int:
     sortable = needed <= args.t
     _emit(
         args,
-        "sortable",
         {"perm": args.perm, "t": args.t},
         {"sortable": sortable, "passes_needed": needed},
         ["yes" if sortable else "no", f"passes needed: {needed}"],
@@ -61,7 +62,6 @@ def _cmd_stats(args) -> int:
     stats = statistics(parse_permutation(args.perm))
     _emit(
         args,
-        "stats",
         {"perm": args.perm},
         {
             "descents": stats.descents,
@@ -88,7 +88,6 @@ def _cmd_pattern(args) -> int:
     found = contains_pattern(perm, patt)
     _emit(
         args,
-        "pattern",
         {"perm": args.perm, "q": args.q},
         {"contains": found},
         ["yes" if found else "no"],
@@ -102,7 +101,6 @@ def _cmd_fmap(args) -> int:
     out = format_permutation(marked.perm)
     _emit(
         args,
-        "fmap",
         {"perm": args.perm},
         {"perm": out, "mark": marked.mark_rank},
         [f"perm: {out}", f"mark: {marked.mark_rank}"],
@@ -114,7 +112,7 @@ def _cmd_finv(args) -> int:
     from .permutations import format_permutation, parse_permutation, restore_type1
     grown = restore_type1((parse_permutation(args.perm), args.mark))
     out = format_permutation(grown)
-    _emit(args, "finv", {"perm": args.perm, "mark": args.mark}, out, [out])
+    _emit(args, {"perm": args.perm, "mark": args.mark}, out, [out])
     return 0
 
 
@@ -160,7 +158,7 @@ def _cmd_count(args) -> int:
     params = {key: getattr(args, key) for key in ("n", "k", "f", "pv") if hasattr(args, key)}
     input_obj = {"what": args.what, "method": args.method, **params}
     text = str(value)
-    _emit(args, "count", input_obj, text, [text])
+    _emit(args, input_obj, text, [text])
     return 0
 
 
@@ -172,15 +170,20 @@ def _cmd_table(args) -> int:
     # exact decimal counts print in linear time; str of an int is quadratic
     exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
     with localcontext(exact):
-        table = counting.w_table(args.n, Decimal(1))
-    # each format converts the counts to decimal once, for what it prints
-    if args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    elif args.format == "json":
-        _emit(args, "table", {"n": args.n}, table.to_json_dict(), [])
+        row = counting.w_table(args.n, Decimal(1)).row
+    # each distinct count is converted once: the row is a palindrome,
+    # W(n,k) = W(n,n+1-k), so that halves the work of printing it
+    text = {count: str(count) for count in set(row.values())}
+    n = args.n
+    result, lines = None, []
+    if args.format == "json":
+        # counts as decimal strings: they outgrow 64-bit consumers quickly
+        result = {"n": n, "rows": [{"k": k, "count": text[count]} for k, count in row.items()]}
+    elif args.format == "csv":
+        lines = ["n,k,count", *(f"{n},{k},{text[count]}" for k, count in row.items())]
     else:
-        _emit(args, "table", {"n": args.n}, None,
-              [f"W({args.n},{k}) = {count}" for k, count in table.decimal_row().items()])
+        lines = [f"W({n},{k}) = {text[count]}" for k, count in row.items()]
+    _emit(args, {"n": n}, result, lines)
     return 0
 
 
@@ -201,7 +204,7 @@ def _cmd_enumerate_perms(args) -> int:
         if args.runs is not None and descent_count(p) + 1 != args.runs:
             continue
         out = format_permutation(p)
-        _emit(args, "enumerate", input_obj, out, [out])
+        _emit(args, input_obj, out, [out])
     return 0
 
 
@@ -210,15 +213,20 @@ def _cmd_enumerate_trees(args) -> int:
     input_obj = {"what": "trees", "nodes": args.nodes, "leaves": args.leaves}
     for tree in trees.enumerate_trees(args.nodes, args.leaves):
         if args.format == "json":
-            _emit(args, "enumerate", input_obj, trees.tree_to_json(tree), [])
+            _emit(args, input_obj, trees.tree_to_json(tree), [])
         else:
-            _emit(args, "enumerate", input_obj, None, [trees.format_tree(tree)])
+            _emit(args, input_obj, None, [trees.format_tree(tree)])
     return 0
 
 
 def _cmd_verify(args) -> int:
     from . import verify
     report = verify.run_suite(args.suite, args.max_n)
+    failures = report.failures
+    lines = [f"FAIL {c.label}: expected {c.expected}, actual {c.actual}" for c in failures]
+    verdict = f"FAIL ({len(failures)} mismatches)" if failures else "PASS"
+    lines.append(f"suite {report.suite} (max n {report.max_n}): {verdict}, {len(report.checks)} checks")
+    result = None
     if args.format == "json":
         checks = [
             {"label": c.label, "expected": str(c.expected), "actual": str(c.actual), "ok": c.ok}
@@ -227,16 +235,11 @@ def _cmd_verify(args) -> int:
         result = {
             "suite": report.suite,
             "max_n": report.max_n,
-            "passed": report.passed,
+            "passed": not failures,
             "checks": checks,
         }
-        _emit(args, "verify", {"suite": args.suite, "max_n": report.max_n}, result, [])
-    else:
-        for check in report.failures:
-            print(f"FAIL {check.label}: expected {check.expected}, actual {check.actual}")
-        verdict = "PASS" if report.passed else f"FAIL ({len(report.failures)} mismatches)"
-        print(f"suite {report.suite} (max n {report.max_n}): {verdict}, {len(report.checks)} checks")
-    return 0 if report.passed else 1
+    _emit(args, {"suite": args.suite, "max_n": report.max_n}, result, lines)
+    return 1 if failures else 0
 
 
 @cache

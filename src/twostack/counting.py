@@ -133,32 +133,13 @@ def catalan(n: int) -> int:
 
 
 class CountTable(NamedTuple):
-    """One row of counts for fixed n, indexed by k."""
+    """One row of counts for fixed n, indexed by k in increasing order."""
 
     n: int
     row: dict[int, int]
 
     def total(self) -> int:
         return sum(self.row.values())
-
-    def decimal_row(self) -> dict[int, str]:
-        """
-        {k: the count in decimal}, in order of k.  Each distinct count is
-        converted once: a formula row is a palindrome, W(n,k) = W(n,n+1-k),
-        so that halves the work of printing it.
-        """
-        text = {count: str(count) for count in set(self.row.values())}
-        return {k: text[count] for k, count in sorted(self.row.items())}
-
-    def to_csv(self) -> str:
-        lines = ["n,k,count"]
-        lines += [f"{self.n},{k},{count}" for k, count in self.decimal_row().items()]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        # counts as decimal strings: they outgrow 64-bit consumers quickly
-        rows = [{"k": k, "count": count} for k, count in self.decimal_row().items()]
-        return {"n": self.n, "rows": rows}
 
 
 def w_table(n: int, one=1) -> CountTable:

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import twostack
 from twostack import verify
 from twostack.cli import build_parser, main
+from twostack.counting import CountTable
 from twostack.permutations import stack_sort
 
 
@@ -241,26 +243,51 @@ def test_table_csv(capsys):
     assert out == "n,k,count\n3,1,1\n3,2,4\n3,3,1\n"
 
 
+#: the table sizes checked against the closed form in every output format
+TABLE_SIZES = (*range(1, 301), 400, 800, 1200)
+
+
+@cache
+def closed_form_row(n):
+    """{k: w_formula(n, k) in decimal}, each count converted on its own; shared by the formats."""
+    return {k: str(twostack.w_formula(n, k)) for k in range(1, n + 1)}
+
+
 def test_table_text_matches_the_closed_form(capsys):
-    # each line against w_formula's count, converted on its own
-    for n in (*range(1, 301), 400, 800, 1200):
+    for n in TABLE_SIZES:
         code, out, _ = run(capsys, "table", "--n", str(n))
         assert code == 0
-        assert out == "".join(f"W({n},{k}) = {twostack.w_formula(n, k)}\n" for k in range(1, n + 1))
+        assert out == "".join(f"W({n},{k}) = {c}\n" for k, c in closed_form_row(n).items())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_csv_and_json_match_the_closed_form(capsys, fmt):
-    n = 1200
-    code, out, _ = run(capsys, "table", "--n", str(n), "--format", fmt)
+    for n in TABLE_SIZES:
+        code, out, _ = run(capsys, "table", "--n", str(n), "--format", fmt)
+        assert code == 0
+        counts = closed_form_row(n)
+        if fmt == "csv":
+            assert out == "n,k,count\n" + "".join(f"{n},{k},{c}\n" for k, c in counts.items())
+        else:
+            rows = [{"k": k, "count": c} for k, c in counts.items()]
+            envelope = {"command": "table", "input": {"n": n}, "result": {"n": n, "rows": rows}}
+            assert out == json.dumps(envelope) + "\n"
+
+
+def test_table_renders_a_row_that_is_no_palindrome(capsys, monkeypatch):
+    # a count repeated at positions that do not mirror, and one far beyond 64 bits
+    big = 10**40 + 7
+    row = {1: 5, 2: big, 3: 5, 4: big, 5: 0}
+    monkeypatch.setattr("twostack.counting.w_table", lambda n, one: CountTable(n, row))
+    text = {k: str(count) for k, count in row.items()}
+    code, out, _ = run(capsys, "table", "--n", "5")
+    assert (code, out) == (0, "".join(f"W(5,{k}) = {c}\n" for k, c in text.items()))
+    code, out, _ = run(capsys, "table", "--n", "5", "--format", "csv")
+    assert (code, out) == (0, "n,k,count\n" + "".join(f"5,{k},{c}\n" for k, c in text.items()))
+    code, out, _ = run(capsys, "table", "--n", "5", "--format", "json")
     assert code == 0
-    counts = {k: str(twostack.w_formula(n, k)) for k in range(1, n + 1)}
-    if fmt == "csv":
-        assert out == "n,k,count\n" + "".join(f"{n},{k},{c}\n" for k, c in counts.items())
-    else:
-        rows = [{"k": k, "count": c} for k, c in counts.items()]
-        envelope = {"command": "table", "input": {"n": n}, "result": {"n": n, "rows": rows}}
-        assert out == json.dumps(envelope) + "\n"
+    assert json.loads(out)["result"] == {
+        "n": 5, "rows": [{"k": k, "count": c} for k, c in text.items()]}
 
 
 def test_table_at_the_count_limit(capsys):
@@ -287,6 +314,11 @@ def test_table_json_counts_are_strings(capsys):
     payload = json.loads(out)
     assert set(payload) == {"command", "input", "result"}
     assert payload["result"]["rows"][1] == {"k": 2, "count": "10"}
+    code, out, _ = run(capsys, "table", "--n", "60", "--format", "json")  # counts past 64 bits
+    assert code == 0
+    rows = json.loads(out)["result"]["rows"]
+    assert all(isinstance(row["count"], str) for row in rows)
+    assert rows[29] == {"k": 30, "count": str(twostack.w_formula(60, 30))}
 
 
 def test_enumerate_perms_stream(capsys):
@@ -542,9 +574,45 @@ def test_verify_help_exits_zero(capsys):
 def test_verify_mismatch_exit_one(capsys, monkeypatch):
     # sabotage the closed form so the suite must report a mismatch
     monkeypatch.setattr("twostack.counting.w_total", lambda n: 0)
-    code, out, _ = run(capsys, "verify", "--suite", "total", "--max-n", "3")
-    assert code == 1
-    assert "FAIL" in out
+    totals = {1: 1, 2: 2, 3: 6}
+    code, out, err = run(capsys, "verify", "--suite", "total", "--max-n", "3")
+    assert (code, err) == (1, "")
+    assert out == "".join(
+        f"FAIL 2-stack sortable total, n={n}: expected 0, actual {t}\n" for n, t in totals.items()
+    ) + "suite total (max n 3): FAIL (3 mismatches), 3 checks\n"
+    code, out, err = run(capsys, "verify", "--suite", "total", "--max-n", "3", "--format", "json")
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    assert [(c["expected"], c["actual"], c["ok"]) for c in result["checks"]] == [
+        ("0", str(t), False) for t in totals.values()]
+
+
+#: id -> (argv, whether verify's total suite is sabotaged to fail)
+EVERY_OUTPUT = {
+    "table-text": (["table", "--n", "3"], False),
+    "table-csv": (["table", "--n", "3", "--format", "csv"], False),
+    "table-json": (["table", "--n", "3", "--format", "json"], False),
+    "verify-text": (["verify", "--suite", "total", "--max-n", "3"], False),
+    "verify-json": (["verify", "--suite", "total", "--max-n", "3", "--format", "json"], False),
+    "verify-text-failing": (["verify", "--suite", "total", "--max-n", "3"], True),
+    "verify-json-failing": (
+        ["verify", "--suite", "total", "--max-n", "3", "--format", "json"], True),
+    "sort": (["sort", "3 1 2"], False),
+    "enumerate-perms": (["enumerate", "perms", "--n", "3"], False),
+}
+
+
+@pytest.mark.parametrize("argv, failing", EVERY_OUTPUT.values(), ids=EVERY_OUTPUT)
+def test_emit_is_the_only_writer(capsys, monkeypatch, argv, failing):
+    calls = []
+    monkeypatch.setattr("twostack.cli._emit", lambda *args: calls.append(args))
+    if failing:
+        monkeypatch.setattr("twostack.counting.w_total", lambda n: 0)
+    code = main(argv)
+    assert capsys.readouterr() == ("", "")
+    assert calls
+    assert code == (1 if failing else 0)
 
 
 def test_invalid_permutation_exit_two(capsys):

@@ -1,4 +1,3 @@
-import json
 import threading
 from bisect import bisect_left
 from collections import Counter
@@ -368,17 +367,9 @@ def test_w_table_matches_formula():
 
 
 def test_w_table_rows_match_the_closed_form():
-    # the term-ratio row and its decimal renderings against the binomial
-    # products of w_formula, each converted on its own
+    # the term-ratio row against the binomial products of w_formula
     for n in (*range(1, 301), 400, 800, 1200):
-        cells = {k: w_formula(n, k) for k in range(1, n + 1)}
-        table = w_table(n)
-        assert table.row == cells
-        text = {k: str(count) for k, count in cells.items()}
-        assert list(table.decimal_row().items()) == list(text.items())
-        assert table.to_csv() == "n,k,count\n" + "".join(f"{n},{k},{c}\n" for k, c in text.items())
-        assert table.to_json_dict() == {
-            "n": n, "rows": [{"k": k, "count": c} for k, c in text.items()]}
+        assert w_table(n).row == {k: w_formula(n, k) for k in range(1, n + 1)}
 
 
 def test_w_table_matches_factorial_quotients_at_cli_sizes():
@@ -407,32 +398,6 @@ def test_w_table_rejects_nonpositive_n():
     for n in (0, -3):
         with pytest.raises(ValueError):
             w_table(n)
-
-
-def test_count_table_csv():
-    table = CountTable(3, {1: 1, 2: 4, 3: 1})
-    assert table.to_csv() == "n,k,count\n3,1,1\n3,2,4\n3,3,1\n"
-
-
-def test_count_table_renders_a_row_that_is_no_palindrome():
-    # keys out of order, a count repeated at positions that do not mirror,
-    # and a count far beyond 64 bits
-    big = 10**40 + 7
-    table = CountTable(5, {4: big, 1: 5, 2: big, 5: 0, 3: 5})
-    expected = {1: "5", 2: str(big), 3: "5", 4: str(big), 5: "0"}
-    assert list(table.decimal_row().items()) == list(expected.items())
-    assert table.to_csv() == f"n,k,count\n5,1,5\n5,2,{big}\n5,3,5\n5,4,{big}\n5,5,0\n"
-    assert table.to_json_dict() == {
-        "n": 5, "rows": [{"k": k, "count": c} for k, c in expected.items()]}
-
-
-def test_count_table_json_uses_decimal_strings():
-    table = w_table(60)  # counts far beyond 64-bit range
-    payload = json.loads(json.dumps(table.to_json_dict()))
-    assert payload["n"] == 60
-    assert all(isinstance(row["count"], str) for row in payload["rows"])
-    assert int(payload["rows"][0]["count"]) == 1
-    assert int(payload["rows"][29]["count"]) == w_formula(60, 30)
 
 
 # ------------------------------------------------------ joint distributions
