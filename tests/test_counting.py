@@ -1,3 +1,4 @@
+import json
 import threading
 from bisect import bisect_left
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twostack import counting
+from twostack.cli import main
 from twostack.counting import (
     MAX_COUNT_N,
     MAX_EXHAUSTIVE_N,
@@ -398,6 +400,16 @@ def test_w_table_rejects_nonpositive_n():
     for n in (0, -3):
         with pytest.raises(ValueError):
             w_table(n)
+
+
+def test_count_table_json_uses_decimal_strings(capsys):
+    # the table command writes counts as decimal strings: they outgrow 64-bit consumers quickly
+    assert main(["table", "--n", "60", "--format", "json"]) == 0  # counts far beyond 64-bit range
+    payload = json.loads(capsys.readouterr().out)["result"]
+    assert payload["n"] == 60
+    assert all(isinstance(row["count"], str) for row in payload["rows"])
+    assert int(payload["rows"][0]["count"]) == 1
+    assert int(payload["rows"][29]["count"]) == w_formula(60, 30)
 
 
 # ------------------------------------------------------ joint distributions
