@@ -34,8 +34,7 @@ def _cmd_sort(args) -> int:
     from .permutations import _passes, format_permutation, parse_permutation
     if args.passes < 0:
         raise ValueError("--passes must be >= 0")
-    for perm in _passes(parse_permutation(args.perm), args.passes):
-        pass
+    _, perm = _passes(parse_permutation(args.perm), args.passes)
     out = format_permutation(perm)
     _emit(args, {"perm": args.perm, "passes": args.passes}, out, [out])
     return 0

@@ -10,8 +10,9 @@ truncating.  Brute-force counters grow the sortable permutations one first
 entry at a time, admitting only the first entries that West's
 characterisation allows, so no candidate is built and then rejected.
 Levels below the budget are kept once built, with the descents and
-right-to-left maxima of every permutation, which the counters read instead
-of rescanning; the level at the budget is streamed from the one below it.
+right-to-left maxima of every permutation packed into one byte, which the
+counters read instead of rescanning; the level at the budget is streamed
+from the one below it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -207,68 +208,60 @@ def _barred(q):
     return mask
 
 
-def _admitted(n: int, below: tuple) -> Iterator[tuple[int, bytes, Iterator[int], Iterator[int]]]:
+def _admitted(n: int, below: tuple) -> Iterator[tuple[int, bytes, Iterator[int]]]:
     """
-    For each first entry v in 1..n, yield (v, keep, descents, maxima): keep[i]
-    says whether v·q' is 2-stack sortable for the i-th q of the level
-    ``below``, where q' is q with its entries >= v raised by 1, and descents
-    and maxima iterate over the statistics of the kept v·q', in order.
+    For each first entry v in 1..n, yield (v, keep, stats): keep[i] says
+    whether v·q' is 2-stack sortable for the i-th q of the level ``below``,
+    where q' is q with its entries >= v raised by 1, and stats iterates over
+    the packed statistics 16·descents + maxima of the kept v·q', in order.
 
     Raising keeps q's order, so q' has q's descents and maxima; the one new
-    pair (v, q'_1) descends exactly when v > q_1, and v is a right-to-left
-    maximum exactly when it exceeds all of q', that is when v = n.
+    pair (v, q'_1) descends exactly when v > q_1, which adds 16, and v is a
+    right-to-left maximum exactly when it exceeds all of q', that is when
+    v = n, which adds 1.
     """
-    perms, below_descents, below_maxima = below
+    perms, below_stats = below
     # bits 0..7 and 8..15 of each q's mask, a byte each, so that keep is one
     # bytes.translate per v: a list of bools would be 2 MB per v at n = 11
     low, high = bytearray(), bytearray()
     for bad in map(_barred, perms):
         low.append(bad & 255)
         high.append(bad >> 8)
-    rises = array("B", (d + 1 for d in below_descents))
+    rises = array("B", (s + 16 for s in below_stats))
     for v in range(1, n + 1):
         masks, bit = (low, 1 << v) if v < 8 else (high, 1 << v - 8)
         keep = masks.translate(bytes(not byte & bit for byte in range(256)))
         # below is lexicographic, so the q with q_1 < v come first; () has no q_1
         split = bisect_left(perms, (v,)) if perms[0] else 0
-        descents = compress(rises[:split] + below_descents[split:], keep)
-        maxima = compress(below_maxima, keep)
-        yield v, keep, descents, (r + 1 for r in maxima) if v == n else maxima
+        stats = compress(rises[:split] + below_stats[split:], keep)
+        yield v, keep, stats if v < n else (s + 1 for s in stats)
 
 
-def _two_sortable(
-    n: int, below: tuple, descents: array | None = None, maxima: array | None = None
-) -> Iterator[tuple[int, ...]]:
-    """
-    Yield each 2-stack sortable v·q' that :func:`_admitted` keeps, v-major,
-    so lexicographic if ``below`` is; given the two arrays, extend them
-    with the statistics of what it yields.
-    """
-    for v, keep, block_descents, block_maxima in _admitted(n, below):
-        if descents is not None:
-            descents.extend(block_descents)
-            maxima.extend(block_maxima)
-        shift = tuple(x + (x >= v) for x in range(n))
-        for q in compress(below[0], keep):
-            yield (v, *[shift[x] for x in q])
+def _raised(n: int, v: int, perms: tuple, keep: bytes) -> Iterator[tuple[int, ...]]:
+    """Each v·q' that ``keep`` marks, q' being q in ``perms`` raised at >= v, in order."""
+    shift = tuple(x + (x >= v) for x in range(n))
+    for q in compress(perms, keep):
+        yield (v, *[shift[x] for x in q])
 
 
-# _levels[m] is (perms, descents, maxima): every 2-stack sortable
-# m-permutation in lexicographic order, and two arrays with the descents and
-# right-to-left maxima of each at its index, built from _levels[m - 1].
-# Like trees._forests, the table is shared by the whole process and only
-# grows, but two_stack_sortable asks it for no level at or past
-# MAX_EXHAUSTIVE_N.
-_levels: list[tuple[tuple, array, array]] = [(((),), array("B", [0]), array("B", [0]))]
+# _levels[m] is (perms, stats): every 2-stack sortable m-permutation in
+# lexicographic order, and one byte array with 16·descents + maxima of each
+# at its index, maxima counting its right-to-left maxima; both are below 16
+# while MAX_EXHAUSTIVE_N is.  Level m is built from _levels[m - 1].  Like
+# trees._forests, the table is shared by the whole process and only grows,
+# but two_stack_sortable asks it for no level at or past MAX_EXHAUSTIVE_N.
+_levels: list[tuple[tuple, array]] = [(((),), array("B", [0]))]
 _levels_lock = threading.Lock()
 
 
-def _level(m: int) -> tuple[tuple, array, array]:
+def _level(m: int) -> tuple[tuple, array]:
     with _levels_lock:
         for size in range(len(_levels), m + 1):
-            descents, maxima = array("B"), array("B")
-            perms = tuple(_two_sortable(size, _levels[-1], descents, maxima))
-            _levels.append((perms, descents, maxima))
+            below, perms, stats = _levels[-1], [], array("B")
+            for v, keep, block in _admitted(size, below):
+                perms.extend(_raised(size, v, below[0], keep))
+                stats.extend(block)
+            _levels.append((tuple(perms), stats))
     return _levels[m]
 
 
@@ -298,23 +291,20 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     check_exhaustive(n)
     if n < MAX_EXHAUSTIVE_N:
         return iter(_level(n)[0])
-    return _two_sortable(n, _level(n - 1))
+    below = _level(n - 1)
+    return chain.from_iterable(_raised(n, v, below[0], keep) for v, keep, _ in _admitted(n, below))
 
 
 def _tally(n: int) -> Counter:
     """
-    {(descents, maxima): count} over the 2-stack sortable n-permutations,
+    {16·descents + maxima: count} over the 2-stack sortable n-permutations,
     read off the kept level, or at the budget streamed by :func:`_admitted`
     from the level below it without building any n-permutation.
     """
     check_exhaustive(n)
     if n < MAX_EXHAUSTIVE_N:
-        _, descents, maxima = _level(n)
-        return Counter(zip(descents, maxima))
-    tally = Counter()
-    for _, _, descents, maxima in _admitted(n, _level(n - 1)):
-        tally.update(zip(descents, maxima))
-    return tally
+        return Counter(_level(n)[1])
+    return Counter(chain.from_iterable(stats for _, _, stats in _admitted(n, _level(n - 1))))
 
 
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
@@ -332,8 +322,8 @@ def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     row = Counter()
-    for (d, _), count in _tally(n).items():
-        row[d + 1] += count
+    for s, count in _tally(n).items():
+        row[(s >> 4) + 1] += count
     return CountTable(n, {k: row[k] for k in sorted(row)})
 
 
@@ -347,7 +337,7 @@ def joint_distribution_perms(n: int) -> Counter:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Counter({(d + 1, r): count for (d, r), count in _tally(n).items()})
+    return Counter({((s >> 4) + 1, s & 15): count for s, count in _tally(n).items()})
 
 
 def joint_distribution_trees(n: int) -> Counter:

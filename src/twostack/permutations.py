@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from math import inf
 from operator import gt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def as_permutation(entries: Iterable[int]) -> tuple[int, ...]:
@@ -104,10 +104,11 @@ def stack_sort(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _passes(perm: Sequence[int], most: int) -> Iterator[tuple[int, ...]]:
+def _passes(perm: Sequence[int], most: int) -> tuple[int, tuple[int, ...]]:
     """
-    ``perm``, then up to ``most`` :func:`stack_sort` passes of it, ending at
-    the identity; never more than n, as a permutation of 1..n sorts in n - 1.
+    (passes made, what they leave) for up to ``most`` :func:`stack_sort`
+    passes of ``perm``, stopping at the identity; never more than n, as a
+    permutation of 1..n sorts in n - 1.
 
     A pass leaves a settled prefix 1..lo and suffix hi+1..n in place:
     ``stack_sort(P M S) = P stack_sort(M) S``, so only ``cur[lo:hi]`` is
@@ -118,16 +119,16 @@ def _passes(perm: Sequence[int], most: int) -> Iterator[tuple[int, ...]]:
     """
     cur = tuple(perm)
     lo, hi = 0, len(cur)
-    for _ in range(min(most, len(cur))):
+    most = min(most, hi)
+    for made in range(most):
         while lo < hi and cur[lo] == lo + 1:
             lo += 1
         while lo < hi and cur[hi - 1] == hi:
             hi -= 1
         if lo == hi:
-            break
-        yield cur
+            return made, cur
         cur = (*cur[:lo], *stack_sort(cur[lo:hi]), *cur[hi:])
-    yield cur
+    return most, cur
 
 
 def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
@@ -151,11 +152,10 @@ def is_t_stack_sortable(perm: Sequence[int], t: int) -> bool:
     if t < 0:
         raise ValueError("number of passes must be >= 0")
     if t <= 1:
-        cur = tuple(perm)
-        return (stack_sort(cur) if t else cur) == identity(len(cur))
+        _, cur = _passes(perm, t)
+        return cur == identity(len(cur))
     if t > 2:
-        for perm in _passes(perm, t - 2):
-            pass
+        _, perm = _passes(perm, t - 2)
     # both stacks stand on an inf that never pops; top1 and top2 are their tops
     first, second = [inf], [inf]
     top1 = top2 = inf
@@ -189,8 +189,7 @@ def sorting_passes(perm: Sequence[int]) -> int:
     >>> sorting_passes((1, 2, 3))
     0
     """
-    for passes, cur in enumerate(_passes(perm, len(perm))):
-        pass
+    passes, cur = _passes(perm, len(perm))
     if cur != identity(len(cur)):
         raise ValueError(f"not a permutation of 1..{len(cur)}: {tuple(perm)}")
     return passes

@@ -424,7 +424,6 @@ def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
     def not_allowed(*args):
         raise AssertionError("worked past the budget")
 
-    monkeypatch.setattr("twostack.counting._two_sortable", not_allowed)
     monkeypatch.setattr("twostack.counting._admitted", not_allowed)
     monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
     monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
@@ -453,7 +452,6 @@ def test_verify_budget_exit_two(capsys, monkeypatch, suite, max_n, limit):
     def not_allowed(*args):
         raise AssertionError("worked past the budget")
 
-    monkeypatch.setattr("twostack.counting._two_sortable", not_allowed)
     monkeypatch.setattr("twostack.counting._admitted", not_allowed)
     monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
     monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)

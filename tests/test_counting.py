@@ -187,7 +187,7 @@ def _fresh_levels(monkeypatch):
     return levels
 
 
-def _not_allowed(n, below, *stats):
+def _not_allowed(n, below):
     raise AssertionError(f"built level {n} again")
 
 
@@ -205,7 +205,7 @@ def test_generator_matches_the_exhaustive_filter(monkeypatch):
         assert list(two_stack_sortable(n)) == sortable
         assert len(levels) == n + 1
         with monkeypatch.context() as patch:
-            patch.setattr("twostack.counting._two_sortable", _not_allowed)
+            patch.setattr("twostack.counting._admitted", _not_allowed)
             assert list(two_stack_sortable(n)) == sortable
 
 
@@ -246,10 +246,10 @@ def test_count_at_the_budget_matches_the_exhaustive_filter(monkeypatch):
 def test_kept_levels_carry_their_statistics():
     # the recurrence descents(v·q') = descents(q) + [v > q_1] and
     # maxima(v·q') = maxima(q) + [v = n] against a direct read of each level
+    assert counting.MAX_EXHAUSTIVE_N < 16, "kept levels pack descents and maxima in 4 bits each"
     for m in range(0, 10):
-        perms, descents, maxima = counting._level(m)
-        assert list(descents) == [descent_count(p) for p in perms]
-        assert list(maxima) == [len(rl_maxima(p)) for p in perms]
+        perms, stats = counting._level(m)
+        assert [divmod(s, 16) for s in stats] == [(descent_count(p), len(rl_maxima(p))) for p in perms]
 
 
 def test_counters_rescan_no_permutation(monkeypatch):
@@ -272,7 +272,7 @@ def test_levels_are_built_once_per_process(monkeypatch):
     _fresh_levels(monkeypatch)
     first = brute_force_w(8)
     joint = joint_distribution_perms(8)
-    monkeypatch.setattr("twostack.counting._two_sortable", _not_allowed)
+    monkeypatch.setattr("twostack.counting._admitted", _not_allowed)
     assert brute_force_w(8) == first
     assert joint_distribution_perms(8) == joint
     assert sum(1 for _ in two_stack_sortable(7)) == TOTALS[6]
@@ -283,28 +283,28 @@ def test_level_at_the_budget_is_streamed_not_kept(monkeypatch):
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 6)
     assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
     assert brute_force_w(6).total() == TOTALS[5]
-    assert [len(perms) for perms, _, _ in levels] == [1, *TOTALS[:5]]  # levels 0..5
+    assert [len(perms) for perms, _ in levels] == [1, *TOTALS[:5]]  # levels 0..5
 
 
 def test_kept_levels_are_tuples(monkeypatch):
     levels = _fresh_levels(monkeypatch)
     brute_force_w(6)
     assert len(levels) == 7
-    assert all(type(perms) is tuple for perms, _, _ in levels)
-    assert all(type(p) is tuple for perms, _, _ in levels for p in perms)
-    assert all(len(descents) == len(maxima) == len(perms) for perms, descents, maxima in levels)
+    assert all(type(perms) is tuple for perms, _ in levels)
+    assert all(type(p) is tuple for perms, _ in levels for p in perms)
+    assert all(len(stats) == len(perms) for perms, stats in levels)
 
 
 def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     levels = _fresh_levels(monkeypatch)
     built = []
-    sortable_step = counting._two_sortable
+    admitted = counting._admitted
 
-    def counted(n, below, *stats):
+    def counted(n, below):
         built.append(n)
-        yield from sortable_step(n, below, *stats)
+        yield from admitted(n, below)
 
-    monkeypatch.setattr("twostack.counting._two_sortable", counted)
+    monkeypatch.setattr("twostack.counting._admitted", counted)
     start = threading.Barrier(2)
     results = [None, None]
 
@@ -322,7 +322,7 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     assert sum(results[0][1].values()) == TOTALS[7]
     assert sorted(built) == list(range(1, 9))
     assert [tuple(map(len, level)) for level in levels] == [
-        (size, size, size) for size in (1, *TOTALS[:8])
+        (size, size) for size in (1, *TOTALS[:8])
     ]
 
 
@@ -446,11 +446,10 @@ def test_joint_distribution_domain_errors():
 
 
 def test_exhaustive_counters_respect_the_budget(monkeypatch):
-    def sweep_not_allowed(n, below, *stats):
+    def sweep_not_allowed(n, below):
         raise AssertionError(f"swept n={n} past the budget")
 
     with monkeypatch.context() as patch:
-        patch.setattr("twostack.counting._two_sortable", sweep_not_allowed)
         patch.setattr("twostack.counting._admitted", sweep_not_allowed)
         for call in (brute_force_w, joint_distribution_perms, two_stack_sortable):
             with pytest.raises(ValueError, match="limited to n <= 11"):
