@@ -9,32 +9,31 @@ to be remainder-free, so a transcription slip raises instead of silently
 truncating.  Brute-force counters grow the sortable permutations one first
 entry at a time, admitting only the first entries that West's
 characterisation allows, so no candidate is built and then rejected.
-Levels below the budget are kept once built, with the descents and
-right-to-left maxima of every permutation packed into one byte, which the
-counters read instead of rescanning; the level at the budget is streamed
-from the one below it.
+Every level up to the budget is kept once built, one byte per entry, with
+the descents and right-to-left maxima of every permutation packed into one
+more byte, which the counters read instead of rescanning.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from math import comb
 from typing import Iterator, NamedTuple
 
-#: The largest n that the exhaustive counters accept.  Levels below it are
-#: kept once built (:func:`two_stack_sortable`); after n = 10 they hold 39 MB
-#: and the process 56 MB.  At n = 11 (2-core VM, Python 3.11) the top level is
-#: streamed from the kept levels, only the admitted first entries of each
-#: sortable (n-1)-permutation: a cold :func:`brute_force_w` takes 4-5 s at
-#: 58 MB, counting from level 10's statistics, and ``twostack enumerate perms
-#: --filter 2ss`` prints it in 10-15 s; without ``--filter`` that command
-#: scans all n! permutations in 45 s; ``twostack count trees --n 11 --k 6
-#: --method enum`` lists the trees on 12 nodes in 3-5 s at 15 MB.  Each step
-#: up multiplies the sortable ones by about 5.5 (n+1 for the scan).
+#: The largest n that the exhaustive counters accept.  Every level up to it
+#: is kept once built (:func:`two_stack_sortable`): 3.9 MB after n = 10, where
+#: a cold ``twostack count total --method brute`` takes 0.4-0.6 s at 19 MB;
+#: 21 MB after n = 11, where it takes 2.0-3.1 s at 42 MB and ``twostack
+#: enumerate perms --filter 2ss`` 6-8 s (2-core VM, Python 3.11, src not
+#: compiled first).  Without ``--filter`` that command scans all n!
+#: permutations in 45 s; ``twostack count trees --n 11 --k 6 --method enum``
+#: lists the trees on 12 nodes in 3-5 s at 15 MB.  Each step up multiplies
+#: the sortable ones by about 5.5 (n+1 for the scan).
 MAX_EXHAUSTIVE_N = 11
 
 
@@ -208,6 +207,13 @@ def _barred(q):
     return mask
 
 
+def _perms(m: int, perms: bytes) -> Iterator[tuple[int, ...]]:
+    """The m-permutations packed in ``perms``, m bytes each, as tuples."""
+    if m == 0:
+        return iter(((),))
+    return zip(*[iter(perms)] * m)
+
+
 def _admitted(n: int, below: tuple) -> Iterator[tuple[int, bytes, Iterator[int]]]:
     """
     For each first entry v in 1..n, yield (v, keep, stats): keep[i] says
@@ -224,44 +230,46 @@ def _admitted(n: int, below: tuple) -> Iterator[tuple[int, bytes, Iterator[int]]
     # bits 0..7 and 8..15 of each q's mask, a byte each, so that keep is one
     # bytes.translate per v: a list of bools would be 2 MB per v at n = 11
     low, high = bytearray(), bytearray()
-    for bad in map(_barred, perms):
+    for bad in map(_barred, _perms(n - 1, perms)):
         low.append(bad & 255)
         high.append(bad >> 8)
     rises = array("B", (s + 16 for s in below_stats))
+    firsts = perms[::max(n - 1, 1)]  # level 0 holds no entry, so no q_1
     for v in range(1, n + 1):
         masks, bit = (low, 1 << v) if v < 8 else (high, 1 << v - 8)
         keep = masks.translate(bytes(not byte & bit for byte in range(256)))
-        # below is lexicographic, so the q with q_1 < v come first; () has no q_1
-        split = bisect_left(perms, (v,)) if perms[0] else 0
+        # below is lexicographic, so the q with q_1 < v come first
+        split = bisect_left(firsts, v)
         stats = compress(rises[:split] + below_stats[split:], keep)
         yield v, keep, stats if v < n else (s + 1 for s in stats)
 
 
-def _raised(n: int, v: int, perms: tuple, keep: bytes) -> Iterator[tuple[int, ...]]:
-    """Each v·q' that ``keep`` marks, q' being q in ``perms`` raised at >= v, in order."""
-    shift = tuple(x + (x >= v) for x in range(n))
-    for q in compress(perms, keep):
-        yield (v, *[shift[x] for x in q])
-
-
 # _levels[m] is (perms, stats): every 2-stack sortable m-permutation in
-# lexicographic order, and one byte array with 16·descents + maxima of each
-# at its index, maxima counting its right-to-left maxima; both are below 16
+# lexicographic order, m bytes each in one buffer, and one byte array with
+# 16·descents + right-to-left maxima of each at its index; both are below 16
 # while MAX_EXHAUSTIVE_N is.  Level m is built from _levels[m - 1].  Like
 # trees._forests, the table is shared by the whole process and only grows,
-# but two_stack_sortable asks it for no level at or past MAX_EXHAUSTIVE_N.
-_levels: list[tuple[tuple, array]] = [(((),), array("B", [0]))]
+# but two_stack_sortable asks it for no level past MAX_EXHAUSTIVE_N.
+_levels: list[tuple[bytearray, array]] = [(bytearray(), array("B", [0]))]
 _levels_lock = threading.Lock()
 
 
-def _level(m: int) -> tuple[tuple, array]:
+def _level(m: int) -> tuple[bytearray, array]:
     with _levels_lock:
         for size in range(len(_levels), m + 1):
-            below, perms, stats = _levels[-1], [], array("B")
+            below, perms, stats = _levels[-1], bytearray(), array("B")
             for v, keep, block in _admitted(size, below):
-                perms.extend(_raised(size, v, below[0], keep))
+                # spread holds v·q' for every q below, laid a column at a time,
+                # q's entries >= v raised by 1 (none is 255, which would wrap);
+                # each run of kept v·q' is then copied as one slice
+                raise_v = bytes(range(v)) + bytes(range(v + 1, 256)) + b"\0"
+                spread = bytearray([v]) * (len(keep) * size)
+                for j in range(1, size):
+                    spread[j::size] = below[0][j - 1::size - 1].translate(raise_v)
+                for run in re.finditer(b"\x01+", keep):
+                    perms += spread[run.start() * size:run.end() * size]
                 stats.extend(block)
-            _levels.append((tuple(perms), stats))
+            _levels.append((perms, stats))
     return _levels[m]
 
 
@@ -275,11 +283,10 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     level n is grown from level n-1: each first entry v in front of each
     sortable (n-1)-permutation q raised by 1 at >= v, for the v that one
     scan of q admits (:func:`_barred`); no candidate is built and rejected.
-    Levels below the budget are built once per process and kept as tuples,
-    with the descents and right-to-left maxima of each permutation; the
-    level at the budget is streamed from the kept one below it, so the
-    table never holds more than n = 11 needs: 39 MB, nearly all of it
-    level 10.
+    Every level up to n is built once per process and kept, one byte per
+    entry, with the descents and right-to-left maxima of each permutation;
+    the table holds 21 MB once level 11 is built, 15.4 MB of it the
+    11-permutations.  The permutations come out as tuples.
 
     >>> list(two_stack_sortable(0))
     [()]
@@ -289,29 +296,19 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     check_exhaustive(n)
-    if n < MAX_EXHAUSTIVE_N:
-        return iter(_level(n)[0])
-    below = _level(n - 1)
-    return chain.from_iterable(_raised(n, v, below[0], keep) for v, keep, _ in _admitted(n, below))
+    return _perms(n, _level(n)[0])
 
 
 def _tally(n: int) -> Counter:
-    """
-    {16·descents + maxima: count} over the 2-stack sortable n-permutations,
-    read off the kept level, or at the budget streamed by :func:`_admitted`
-    from the level below it without building any n-permutation.
-    """
+    """{16·descents + maxima: count} over the kept level of 2-stack sortable n-permutations."""
     check_exhaustive(n)
-    if n < MAX_EXHAUSTIVE_N:
-        return Counter(_level(n)[1])
-    return Counter(chain.from_iterable(stats for _, _, stats in _admitted(n, _level(n - 1))))
+    return Counter(_level(n)[1])
 
 
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
     Count 2-stack sortable n-permutations by runs (descents + 1), over the
-    statistics that :func:`two_stack_sortable`'s levels carry: the kept level
-    below :data:`MAX_EXHAUSTIVE_N`, the level below it at the budget.
+    statistics that :func:`two_stack_sortable`'s kept level n carries.
     ``jobs`` must be at least 1 and changes nothing; it is accepted for
     existing callers.
 

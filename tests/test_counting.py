@@ -194,15 +194,13 @@ def _not_allowed(n, below):
 def test_generator_matches_the_exhaustive_filter(monkeypatch):
     # the generating tree rests on first-entry deletion keeping 2-stack
     # sortability; this n! sweep of the public predicate checks it outright,
-    # against the level streamed at the budget, built fresh, and kept
+    # against the level at the budget, built fresh, and then kept
     for n in range(0, 10):
         sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
         levels = _fresh_levels(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", max(n, 1))
             assert list(two_stack_sortable(n)) == sortable  # order included
-        assert len(levels) == max(n, 1)
-        assert list(two_stack_sortable(n)) == sortable
         assert len(levels) == n + 1
         with monkeypatch.context() as patch:
             patch.setattr("twostack.counting._admitted", _not_allowed)
@@ -228,9 +226,9 @@ def test_first_entries_past_the_sweep_match_the_public_predicate(index):
 
 
 def test_count_at_the_budget_matches_the_exhaustive_filter(monkeypatch):
-    # at the budget the statistics of level n are streamed from the kept
-    # level n-1, whatever jobs says; check them against the n! sweep, the
-    # joint pairs in the order the lexicographic sweep first meets them
+    # at the budget level n is built and kept like any other, whatever jobs
+    # says; check its statistics against the n! sweep, the joint pairs in
+    # the order the lexicographic sweep first meets them
     for n in range(1, 9):
         sortable = [p for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, 2)]
         runs = Counter(1 + descent_count(p) for p in sortable)
@@ -248,8 +246,9 @@ def test_kept_levels_carry_their_statistics():
     # maxima(v·q') = maxima(q) + [v = n] against a direct read of each level
     assert counting.MAX_EXHAUSTIVE_N < 16, "kept levels pack descents and maxima in 4 bits each"
     for m in range(0, 10):
-        perms, stats = counting._level(m)
-        assert [divmod(s, 16) for s in stats] == [(descent_count(p), len(rl_maxima(p))) for p in perms]
+        stats = counting._level(m)[1]
+        for p, s in zip(two_stack_sortable(m), stats, strict=True):
+            assert divmod(s, 16) == (descent_count(p), len(rl_maxima(p))), p
 
 
 def test_counters_rescan_no_permutation(monkeypatch):
@@ -263,7 +262,7 @@ def test_counters_rescan_no_permutation(monkeypatch):
         monkeypatch.setattr(f"twostack.counting.{name}", no_scan, raising=False)
     assert brute_force_w(8) == first
     assert joint_distribution_perms(8) == joint
-    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 8)  # streamed from level 7
+    monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 8)  # level 8 at the budget
     assert brute_force_w(8) == first
     assert joint_distribution_perms(8) == joint
 
@@ -278,21 +277,23 @@ def test_levels_are_built_once_per_process(monkeypatch):
     assert sum(1 for _ in two_stack_sortable(7)) == TOTALS[6]
 
 
-def test_level_at_the_budget_is_streamed_not_kept(monkeypatch):
+def test_level_at_the_budget_is_kept(monkeypatch):
     levels = _fresh_levels(monkeypatch)
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 6)
     assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
+    assert [len(stats) for _, stats in levels] == [1, *TOTALS[:6]]  # levels 0..6
+    monkeypatch.setattr("twostack.counting._admitted", _not_allowed)
     assert brute_force_w(6).total() == TOTALS[5]
-    assert [len(perms) for perms, _ in levels] == [1, *TOTALS[:5]]  # levels 0..5
+    assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
 
 
-def test_kept_levels_are_tuples(monkeypatch):
+def test_kept_levels_are_packed(monkeypatch):
     levels = _fresh_levels(monkeypatch)
     brute_force_w(6)
     assert len(levels) == 7
-    assert all(type(perms) is tuple for perms, _ in levels)
-    assert all(type(p) is tuple for perms, _ in levels for p in perms)
-    assert all(len(stats) == len(perms) for perms, stats in levels)
+    assert all(len(perms) == m * len(stats) for m, (perms, stats) in enumerate(levels))
+    # the CLI, the verify suites and the tests compare tuples
+    assert all(type(p) is tuple for m in range(7) for p in two_stack_sortable(m))
 
 
 def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
@@ -322,7 +323,7 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     assert sum(results[0][1].values()) == TOTALS[7]
     assert sorted(built) == list(range(1, 9))
     assert [tuple(map(len, level)) for level in levels] == [
-        (size, size) for size in (1, *TOTALS[:8])
+        (m * size, size) for m, size in enumerate((1, *TOTALS[:8]))
     ]
 
 
@@ -333,8 +334,7 @@ def test_brute_force_w_worker_count_does_not_matter():
 
 
 def test_jobs_start_no_pool_below_the_budget(monkeypatch):
-    # one core reads the kept level below the budget and streams the one at
-    # it, whatever jobs says
+    # one core reads the kept level, at the budget too, whatever jobs says
     def no_pool(*args, **kwargs):
         raise AssertionError("started a worker pool")
 
