@@ -214,61 +214,53 @@ def _perms(m: int, perms: bytes) -> Iterator[tuple[int, ...]]:
     return zip(*[iter(perms)] * m)
 
 
-def _admitted(n: int, below: tuple) -> Iterator[tuple[int, bytes, Iterator[int]]]:
-    """
-    For each first entry v in 1..n, yield (v, keep, stats): keep[i] says
-    whether v·q' is 2-stack sortable for the i-th q of the level ``below``,
-    where q' is q with its entries >= v raised by 1, and stats iterates over
-    the packed statistics 16·descents + maxima of the kept v·q', in order.
-
-    Raising keeps q's order, so q' has q's descents and maxima; the one new
-    pair (v, q'_1) descends exactly when v > q_1, which adds 16, and v is a
-    right-to-left maximum exactly when it exceeds all of q', that is when
-    v = n, which adds 1.
-    """
-    perms, below_stats = below
-    # bits 0..7 and 8..15 of each q's mask, a byte each, so that keep is one
-    # bytes.translate per v: a list of bools would be 2 MB per v at n = 11
-    low, high = bytearray(), bytearray()
-    for bad in map(_barred, _perms(n - 1, perms)):
-        low.append(bad & 255)
-        high.append(bad >> 8)
-    rises = array("B", (s + 16 for s in below_stats))
-    firsts = perms[::max(n - 1, 1)]  # level 0 holds no entry, so no q_1
-    for v in range(1, n + 1):
-        masks, bit = (low, 1 << v) if v < 8 else (high, 1 << v - 8)
-        keep = masks.translate(bytes(not byte & bit for byte in range(256)))
-        # below is lexicographic, so the q with q_1 < v come first
-        split = bisect_left(firsts, v)
-        stats = compress(rises[:split] + below_stats[split:], keep)
-        yield v, keep, stats if v < n else (s + 1 for s in stats)
-
-
 # _levels[m] is (perms, stats): every 2-stack sortable m-permutation in
 # lexicographic order, m bytes each in one buffer, and one byte array with
 # 16·descents + right-to-left maxima of each at its index; both are below 16
 # while MAX_EXHAUSTIVE_N is.  Level m is built from _levels[m - 1].  Like
 # trees._forests, the table is shared by the whole process and only grows,
-# but two_stack_sortable asks it for no level past MAX_EXHAUSTIVE_N.
+# and it refuses any level past MAX_EXHAUSTIVE_N.
 _levels: list[tuple[bytearray, array]] = [(bytearray(), array("B", [0]))]
 _levels_lock = threading.Lock()
 
 
 def _level(m: int) -> tuple[bytearray, array]:
+    """
+    Level m, each missing size grown from the level below: v·q' for every
+    first entry v that q admits (:func:`_barred`), q' being q raised by 1
+    at >= v.  Raising keeps q's order, so q' has q's descents and maxima;
+    the one new pair (v, q'_1) descends exactly when v > q_1, which adds
+    16, and v is a right-to-left maximum exactly when it exceeds all of q',
+    that is when v = size, which adds 1.
+    """
+    check_exhaustive(m)
     with _levels_lock:
         for size in range(len(_levels), m + 1):
-            below, perms, stats = _levels[-1], bytearray(), array("B")
-            for v, keep, block in _admitted(size, below):
+            (below, below_stats), perms, stats = _levels[-1], bytearray(), array("B")
+            # bits 0..7 and 8..15 of each q's mask, a byte each, so that keep is one
+            # bytes.translate per v: a list of bools would be 2 MB per v at n = 11
+            low, high = bytearray(), bytearray()
+            for bad in map(_barred, _perms(size - 1, below)):
+                low.append(bad & 255)
+                high.append(bad >> 8)
+            rises = array("B", (s + 16 for s in below_stats))
+            firsts = below[::max(size - 1, 1)]  # level 0 holds no entry, so no q_1
+            for v in range(1, size + 1):
+                masks, bit = (low, 1 << v) if v < 8 else (high, 1 << v - 8)
+                keep = masks.translate(bytes(not byte & bit for byte in range(256)))
                 # spread holds v·q' for every q below, laid a column at a time,
                 # q's entries >= v raised by 1 (none is 255, which would wrap);
                 # each run of kept v·q' is then copied as one slice
                 raise_v = bytes(range(v)) + bytes(range(v + 1, 256)) + b"\0"
                 spread = bytearray([v]) * (len(keep) * size)
                 for j in range(1, size):
-                    spread[j::size] = below[0][j - 1::size - 1].translate(raise_v)
+                    spread[j::size] = below[j - 1::size - 1].translate(raise_v)
                 for run in re.finditer(b"\x01+", keep):
                     perms += spread[run.start() * size:run.end() * size]
-                stats.extend(block)
+                # below is lexicographic, so the q with q_1 < v come first
+                split = bisect_left(firsts, v)
+                block = compress(rises[:split] + below_stats[split:], keep)
+                stats.extend(block if v < size else (s + 1 for s in block))
             _levels.append((perms, stats))
     return _levels[m]
 
@@ -295,32 +287,29 @@ def two_stack_sortable(n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    check_exhaustive(n)
     return _perms(n, _level(n)[0])
-
-
-def _tally(n: int) -> Counter:
-    """{16·descents + maxima: count} over the kept level of 2-stack sortable n-permutations."""
-    check_exhaustive(n)
-    return Counter(_level(n)[1])
 
 
 def brute_force_w(n: int, jobs: int = 1) -> CountTable:
     """
-    Count 2-stack sortable n-permutations by runs (descents + 1), over the
-    statistics that :func:`two_stack_sortable`'s kept level n carries.
-    ``jobs`` must be at least 1 and changes nothing; it is accepted for
-    existing callers.
+    Count 2-stack sortable n-permutations by runs (descents + 1): the runs
+    marginal of :func:`joint_distribution_perms`.  ``jobs`` must be at
+    least 1 and changes nothing; perfbench's perm-sweep calls
+    ``brute_force_w(n, jobs=2)``, and ROADMAP item 4a deletes it once
+    item 3 lands.
 
     Limited to n <= :data:`MAX_EXHAUSTIVE_N`.
+
+    >>> brute_force_w(4).row
+    {1: 1, 2: 10, 3: 10, 4: 1}
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     row = Counter()
-    for s, count in _tally(n).items():
-        row[(s >> 4) + 1] += count
+    for (runs, _), count in joint_distribution_perms(n).items():
+        row[runs] += count
     return CountTable(n, {k: row[k] for k in sorted(row)})
 
 
@@ -334,7 +323,8 @@ def joint_distribution_perms(n: int) -> Counter:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Counter({((s >> 4) + 1, s & 15): count for s, count in _tally(n).items()})
+    tally = Counter(_level(n)[1])  # {16·descents + maxima: count}
+    return Counter({((s >> 4) + 1, s & 15): count for s, count in tally.items()})
 
 
 def joint_distribution_trees(n: int) -> Counter:

@@ -424,7 +424,7 @@ def test_exhaustive_budget_exit_two(capsys, monkeypatch, argv, n):
     def not_allowed(*args):
         raise AssertionError("worked past the budget")
 
-    monkeypatch.setattr("twostack.counting._admitted", not_allowed)
+    monkeypatch.setattr("twostack.counting._barred", not_allowed)
     monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
     monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
     monkeypatch.setattr("twostack.trees._forest_row", not_allowed)
@@ -452,7 +452,7 @@ def test_verify_budget_exit_two(capsys, monkeypatch, suite, max_n, limit):
     def not_allowed(*args):
         raise AssertionError("worked past the budget")
 
-    monkeypatch.setattr("twostack.counting._admitted", not_allowed)
+    monkeypatch.setattr("twostack.counting._barred", not_allowed)
     monkeypatch.setattr("twostack.cli.iter_permutations", not_allowed)
     monkeypatch.setattr("twostack.trees.enumerate_trees", not_allowed)
     monkeypatch.setattr("twostack.trees._forest_row", not_allowed)

@@ -187,8 +187,9 @@ def _fresh_levels(monkeypatch):
     return levels
 
 
-def _not_allowed(n, below):
-    raise AssertionError(f"built level {n} again")
+def _not_allowed(q):
+    # _barred scans every q of the level below once per level build
+    raise AssertionError(f"built the level above {q} again")
 
 
 def test_generator_matches_the_exhaustive_filter(monkeypatch):
@@ -203,7 +204,7 @@ def test_generator_matches_the_exhaustive_filter(monkeypatch):
             assert list(two_stack_sortable(n)) == sortable  # order included
         assert len(levels) == n + 1
         with monkeypatch.context() as patch:
-            patch.setattr("twostack.counting._admitted", _not_allowed)
+            patch.setattr("twostack.counting._barred", _not_allowed)
             assert list(two_stack_sortable(n)) == sortable
 
 
@@ -271,7 +272,7 @@ def test_levels_are_built_once_per_process(monkeypatch):
     _fresh_levels(monkeypatch)
     first = brute_force_w(8)
     joint = joint_distribution_perms(8)
-    monkeypatch.setattr("twostack.counting._admitted", _not_allowed)
+    monkeypatch.setattr("twostack.counting._barred", _not_allowed)
     assert brute_force_w(8) == first
     assert joint_distribution_perms(8) == joint
     assert sum(1 for _ in two_stack_sortable(7)) == TOTALS[6]
@@ -282,7 +283,7 @@ def test_level_at_the_budget_is_kept(monkeypatch):
     monkeypatch.setattr("twostack.counting.MAX_EXHAUSTIVE_N", 6)
     assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
     assert [len(stats) for _, stats in levels] == [1, *TOTALS[:6]]  # levels 0..6
-    monkeypatch.setattr("twostack.counting._admitted", _not_allowed)
+    monkeypatch.setattr("twostack.counting._barred", _not_allowed)
     assert brute_force_w(6).total() == TOTALS[5]
     assert sum(1 for _ in two_stack_sortable(6)) == TOTALS[5]
 
@@ -299,13 +300,13 @@ def test_kept_levels_are_packed(monkeypatch):
 def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     levels = _fresh_levels(monkeypatch)
     built = []
-    admitted = counting._admitted
+    barred = counting._barred
 
-    def counted(n, below):
-        built.append(n)
-        yield from admitted(n, below)
+    def counted(q):
+        built.append(q)
+        return barred(q)
 
-    monkeypatch.setattr("twostack.counting._admitted", counted)
+    monkeypatch.setattr("twostack.counting._barred", counted)
     start = threading.Barrier(2)
     results = [None, None]
 
@@ -321,7 +322,8 @@ def test_levels_are_built_once_under_concurrent_requests(monkeypatch):
     assert results[0] == results[1]
     assert len(results[0][0]) == TOTALS[7]
     assert sum(results[0][1].values()) == TOTALS[7]
-    assert sorted(built) == list(range(1, 9))
+    # each q of levels 0..7 scanned once: levels 1..8 were each built once
+    assert sorted(built) == sorted(p for m in range(8) for p in two_stack_sortable(m))
     assert [tuple(map(len, level)) for level in levels] == [
         (m * size, size) for m, size in enumerate((1, *TOTALS[:8]))
     ]
@@ -446,11 +448,11 @@ def test_joint_distribution_domain_errors():
 
 
 def test_exhaustive_counters_respect_the_budget(monkeypatch):
-    def sweep_not_allowed(n, below):
-        raise AssertionError(f"swept n={n} past the budget")
+    def sweep_not_allowed(q):
+        raise AssertionError(f"swept past the budget from {q}")
 
     with monkeypatch.context() as patch:
-        patch.setattr("twostack.counting._admitted", sweep_not_allowed)
+        patch.setattr("twostack.counting._barred", sweep_not_allowed)
         for call in (brute_force_w, joint_distribution_perms, two_stack_sortable):
             with pytest.raises(ValueError, match="limited to n <= 11"):
                 call(MAX_EXHAUSTIVE_N + 1)
